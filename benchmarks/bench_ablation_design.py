@@ -3,18 +3,11 @@
 * GRU vs LSTM — the paper picks GRU for equal quality at lower cost
   (Section V-B); we train both at identical budgets and compare mean
   rank and wall time.
-* Dense vs gathered L3 — this implementation adds a dense masked-softmax
-  fast path for small vocabularies (nn/loss.py); the bench times both
-  paths on identical inputs to justify the `DENSE_L3_VOCAB_LIMIT` switch.
 """
-
-import time
 
 import numpy as np
 
-from repro.core import EncoderDecoder, ModelConfig
 from repro.eval import build_setup, format_table, mean_rank
-from repro.nn import Tensor, masked_sampled_loss, sampled_weighted_loss
 
 from .conftest import FAST, bench_config, fit_cached, run_once, write_result
 
@@ -56,62 +49,3 @@ def test_ablation_gru_vs_lstm(benchmark, porto_bench):
     write_result("ablation_rnn_type", text)
     # Shape (paper's rationale): GRU is competitive with LSTM.
     assert np.mean(results["gru"]) < 2.5 * np.mean(results["lstm"]) + 5.0
-
-
-def test_ablation_l3_dense_vs_gathered(benchmark, porto_bench):
-    """Identical L3 objective, two implementations: measure the speed gap."""
-    rng = np.random.default_rng(0)
-    vocab = porto_bench.vocab
-    rows, hidden_dim, k, noise = 4096, 64, 10, 64
-    model = EncoderDecoder(ModelConfig(vocab.size, hidden_dim, hidden_dim,
-                                       num_layers=1, dropout=0.0))
-    hidden_data = rng.standard_normal((rows, hidden_dim)).astype(np.float32)
-    targets = rng.integers(4, vocab.size, size=rows)
-    cand, knn_w = vocab.proximity_candidates(targets, k, theta=100.0)
-    noise_tokens = vocab.sample_noise(rng, rows, noise)
-
-    def dense_path():
-        hidden = Tensor(hidden_data, requires_grad=True)
-        row_idx = np.arange(rows)[:, None]
-        weights = np.zeros((rows, vocab.size), dtype=np.float32)
-        weights[row_idx, cand] = knn_w
-        bias = np.full((rows, vocab.size), -1e9, dtype=np.float32)
-        bias[row_idx, cand] = 0.0
-        bias[row_idx, noise_tokens] = 0.0
-        loss = masked_sampled_loss(model.logits(hidden), weights, bias)
-        loss.backward()
-        return loss.item()
-
-    def gathered_path():
-        hidden = Tensor(hidden_data, requires_grad=True)
-        candidates = np.concatenate([cand, noise_tokens], axis=1)
-        weights = np.concatenate(
-            [knn_w, np.zeros_like(noise_tokens, dtype=float)], axis=1)
-        loss = sampled_weighted_loss(hidden, model.proj_weight, candidates,
-                                     weights, proj_bias=model.proj_bias)
-        loss.backward()
-        return loss.item()
-
-    dense_value = run_once(benchmark, dense_path)
-
-    def timed(fn, repeats=3):
-        fn()
-        start = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        return (time.perf_counter() - start) / repeats
-
-    dense_t = timed(dense_path)
-    gathered_t = timed(gathered_path)
-    gathered_value = gathered_path()
-    text = (f"L3 paths on vocab={vocab.size}, rows={rows}:\n"
-            f"dense masked softmax   {dense_t * 1e3:.1f} ms/step "
-            f"(loss {dense_value:.4f})\n"
-            f"gathered sampled loss  {gathered_t * 1e3:.1f} ms/step "
-            f"(loss {gathered_value:.4f})")
-    write_result("ablation_l3_paths", text)
-    # Same objective up to noise-collision handling: the dense path dedups
-    # noise cells that collide with candidates (a bias cell is zeroed
-    # twice), while the gathered path counts them twice in the partition
-    # estimate — a small systematic difference, not an error.
-    assert abs(dense_value - gathered_value) < 0.05 * max(abs(dense_value), 1.0)

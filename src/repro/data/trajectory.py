@@ -42,6 +42,9 @@ class Trajectory:
             raise ValueError(f"points must be (n, 2), got {points.shape}")
         if len(points) < 2:
             raise ValueError("a trajectory needs at least two points")
+        if not np.isfinite(points).all():
+            first = int(np.argmin(np.isfinite(points).all(axis=1)))
+            raise ValueError(f"point {first} is not finite: {points[first].tolist()}")
         object.__setattr__(self, "points", points)
         if self.timestamps is not None:
             ts = np.asarray(self.timestamps, dtype=float)

@@ -8,15 +8,16 @@ implementation (see DESIGN.md §2).  Public surface:
 * :class:`Linear`, :class:`Embedding`, :class:`Dropout`, :class:`GRUCell`,
   :class:`GRU` — layers.
 * :func:`nll_loss` (L1), :func:`weighted_nll_loss` (L2),
-  :func:`sampled_weighted_loss` (L3) — the paper's decoder losses.
+  :func:`sampled_weighted_loss` (L3) — the paper's decoder losses.  L3 is
+  one fused tape node with a closed-form, sparse-scatter backward; it is
+  the only L3 implementation, for every vocabulary size.
 * :class:`SGD`, :class:`Adam`, :func:`clip_grad_norm` — optimization.
 * :func:`save_checkpoint` / :func:`load_checkpoint` — persistence.
 """
 
 from . import functional, init
 from .layers import Dropout, Embedding, Linear
-from .loss import (masked_sampled_loss, nll_loss, sampled_weighted_loss,
-                   weighted_nll_loss)
+from .loss import nll_loss, sampled_weighted_loss, weighted_nll_loss
 from .module import Module, Parameter
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
 from .lstm import LSTM, LSTMCell, lstm_layer_forward
@@ -48,7 +49,6 @@ __all__ = [
     "init",
     "lstm_layer_forward",
     "load_checkpoint",
-    "masked_sampled_loss",
     "nll_loss",
     "ones",
     "sampled_weighted_loss",

@@ -23,8 +23,9 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
-from .functional import log_softmax, logsumexp
+from .functional import log_softmax
 from .tensor import Tensor
 
 
@@ -81,38 +82,27 @@ def weighted_nll_loss(logits: Tensor, weights: np.ndarray,
     return _masked_mean(per_example, mask)
 
 
-def masked_sampled_loss(logits: Tensor, weights: np.ndarray,
-                        candidate_bias: np.ndarray,
-                        mask: Optional[np.ndarray] = None) -> Tensor:
-    """``L3`` via dense masked softmax — the small-vocabulary fast path.
 
-    Mathematically identical to :func:`sampled_weighted_loss` (same Eq. 7
-    objective), but expressed over full-vocabulary logits: the partition
-    function is restricted to the candidate set ``NO`` by adding a large
-    negative ``candidate_bias`` outside it.  For vocabularies that fit a
-    ``(batch, vocab)`` matrix this replaces the gather/scatter with two
-    GEMMs and is several times faster on CPU; for the paper's 20k-cell
-    vocabularies the gathered variant wins.
 
-    Parameters
-    ----------
-    logits:
-        ``(batch, vocab)`` full scores ``h W^T + b``.
-    weights:
-        ``(batch, vocab)`` proximity weights, nonzero only on each row's
-        K-nearest cells.
-    candidate_bias:
-        ``(batch, vocab)`` additive mask: 0 on candidate cells (K nearest
-        plus noise), a large negative value elsewhere.
+#: Rows per gather in the L3 forward: one ``(64, M, hidden)`` block of
+#: output rows stays in cache while its batched matmul runs.
+_L3_CHUNK_ROWS = 64
+
+
+def _first_occurrences(candidates: np.ndarray) -> np.ndarray:
+    """``(N, M)`` mask that is true on the first occurrence of each id in its row.
+
+    Sorting the keys ``id * M + column`` row by row places every repeat of
+    an id right after its lowest-column occurrence.  Sorting plain values
+    is several times faster than an argsort.
     """
-    weights = np.asarray(weights)
-    candidate_bias = np.asarray(candidate_bias)
-    if weights.shape != logits.shape or candidate_bias.shape != logits.shape:
-        raise ValueError("weights/candidate_bias must match logits shape")
-    restricted = logits + Tensor(candidate_bias)
-    log_z = logsumexp(restricted, axis=1, keepdims=True)
-    per_example = -((logits - log_z) * Tensor(weights)).sum(axis=1)
-    return _masked_mean(per_example, mask)
+    rows, cols = candidates.shape
+    keys = np.sort(candidates * cols + np.arange(cols), axis=1)
+    ids = keys // cols
+    dup_rows, dup_pos = np.nonzero(ids[:, 1:] == ids[:, :-1])
+    keep = np.ones((rows, cols), dtype=bool)
+    keep[dup_rows, keys[dup_rows, dup_pos + 1] % cols] = False
+    return keep
 
 
 def sampled_weighted_loss(
@@ -131,6 +121,16 @@ def sampled_weighted_loss(
     candidate set only, which is the NCE-flavoured approximation the paper
     uses to reduce training cost from O(|y|·|V|) to O(|y|).
 
+    ``NO`` is a *set*: a cell that appears more than once in a row counts
+    once in the partition, and its first occurrence supplies its weight.
+
+    The loss is one tape node.  The forward gathers the candidate rows of
+    ``proj_weight`` a block of rows at a time; the backward uses the closed
+    form ``dloss/dlogit = (softmax · Σw − w) · scale`` and scatters it
+    through one sparse ``(batch, vocab)`` matrix ``S``: ``dh = S @ W``,
+    ``dW = Sᵀ @ h`` and ``db`` by ``np.bincount``.  Nothing of shape
+    ``(batch, M, hidden)`` or dense ``(batch, vocab)`` is kept.
+
     Parameters
     ----------
     hidden:
@@ -148,18 +148,59 @@ def sampled_weighted_loss(
         Optional ``(vocab,)`` bias added to the gathered logits.
     """
     candidates = np.asarray(candidates, dtype=np.int64)
-    weights = np.asarray(weights, dtype=float)
-    if candidates.shape != weights.shape:
+    if candidates.shape != np.shape(weights):
         raise ValueError("candidates and weights must have the same shape")
-    batch, _ = candidates.shape
+    batch, width = candidates.shape
     if hidden.shape[0] != batch:
         raise ValueError("hidden batch size does not match candidates")
+    h, w_proj = hidden.data, proj_weight.data
+    dtype = w_proj.dtype
+    if mask is None:
+        scale = np.full(batch, 1.0 / batch)
+    else:
+        mask = np.asarray(mask, dtype=float)
+        active = float(mask.sum())
+        if active == 0.0:
+            raise ValueError("loss mask has no active positions")
+        scale = mask / active
 
-    rows = proj_weight.take_rows(candidates)           # (batch, M, hidden)
-    h = hidden.reshape(batch, 1, hidden.shape[1])      # (batch, 1, hidden)
-    logits = (rows * h).sum(axis=2)                    # (batch, M)
+    keep = _first_occurrences(candidates)
+    weights = np.where(keep, weights, 0.0).astype(dtype, copy=False)
+    logits = np.empty((batch, width), dtype=dtype)
+    for start in range(0, batch, _L3_CHUNK_ROWS):
+        stop = start + _L3_CHUNK_ROWS
+        rows = np.take(w_proj, candidates[start:stop], axis=0)   # (R, M, H)
+        np.matmul(rows, h[start:stop, :, None], out=logits[start:stop, :, None])
     if proj_bias is not None:
-        logits = logits + proj_bias.take_rows(candidates)
-    log_z = logsumexp(logits, axis=1, keepdims=True)   # (batch, 1)
-    per_example = -((logits - log_z) * Tensor(weights)).sum(axis=1)
-    return _masked_mean(per_example, mask)
+        logits += proj_bias.data[candidates]
+    restricted = np.where(keep, logits, -np.inf)
+    peak = restricted.max(axis=1, keepdims=True)
+    probs = np.exp(restricted - peak)
+    partition = probs.sum(axis=1, keepdims=True)
+    probs /= partition
+    log_z = (np.log(partition) + peak)[:, 0]
+    mass = weights.sum(axis=1)
+    per_row = log_z * mass - (weights * logits).sum(axis=1)
+    value = np.asarray((per_row * scale).sum(), dtype=dtype)
+
+    out = Tensor._make(value, (hidden, proj_weight) + (
+        (proj_bias,) if proj_bias is not None else ()), "sampled_weighted_loss")
+    if out.requires_grad:
+
+        def backward(grad):
+            coeff = (probs * mass[:, None] - weights) * (scale * grad)[:, None]
+            coeff = coeff.astype(dtype, copy=False).reshape(-1)
+            flat = candidates.reshape(-1)
+            scatter = sparse.csr_matrix(
+                (coeff, flat, np.arange(0, flat.size + 1, width)),
+                shape=(batch, len(w_proj)))
+            if hidden.requires_grad:
+                hidden._accumulate(scatter @ w_proj)
+            if proj_weight.requires_grad:
+                proj_weight._accumulate(scatter.T @ h)
+            if proj_bias is not None and proj_bias.requires_grad:
+                proj_bias._accumulate(np.bincount(
+                    flat, weights=coeff, minlength=len(w_proj)))
+
+        out._backward = backward
+    return out

@@ -22,7 +22,7 @@ Token id layout (shared by every subclass)::
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -110,8 +110,8 @@ class ProximityVocabulary:
         Returns ``(candidates, weights)``, both ``(batch, k')`` where
         ``k' = min(k, num_tokens)``.  Special-token targets (EOS) get a
         one-hot row on themselves; their remaining candidate slots are
-        filled with *distinct* content tokens of zero weight (duplicates
-        would corrupt dense scatter writes in the loss).
+        filled with *distinct* content tokens of zero weight, so every
+        row brings ``k'`` cells to the loss's candidate set.
         """
         if theta <= 0:
             raise ValueError("theta must be positive")
@@ -161,23 +161,15 @@ class ProximityVocabulary:
             weights[special, targets[special]] = 1.0
         return weights
 
-    def sample_noise(self, rng: np.random.Generator, batch: int, count: int,
-                     exclude: Optional[np.ndarray] = None) -> np.ndarray:
+    def sample_noise(self, rng: np.random.Generator, batch: int,
+                     count: int) -> np.ndarray:
         """Sample ``(batch, count)`` noise tokens uniformly from content tokens.
 
-        ``exclude`` (``(batch, k)`` candidate ids) is honoured best-effort:
-        colliding samples are resampled once; the paper's NCE noise
-        distribution is uniform over the vocabulary and occasional residual
-        collisions are harmless (weight on noise columns is zero).
+        The paper's NCE noise distribution is uniform over the vocabulary.
+        Draws may repeat each other or a row's K nearest cells; the L3 loss
+        treats its candidates as a set, so a repeat counts once.
         """
-        low, high = NUM_SPECIALS, self.size
-        noise = rng.integers(low, high, size=(batch, count))
-        if exclude is not None:
-            exclude = np.asarray(exclude)
-            collision = (noise[:, :, None] == exclude[:, None, :]).any(axis=2)
-            if collision.any():
-                noise[collision] = rng.integers(low, high, size=int(collision.sum()))
-        return noise
+        return rng.integers(NUM_SPECIALS, self.size, size=(batch, count))
 
     def context_distribution(self, k: int, theta: float) -> Tuple[np.ndarray, np.ndarray]:
         """Eq. 8 sampling distribution for representation pretraining.

@@ -1,9 +1,12 @@
 """Checkpoint persistence round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.nn import load_checkpoint, save_checkpoint
+from repro.nn.serialization import FORMAT_VERSION
 
 
 def test_round_trip_arrays_and_meta(tmp_path):
@@ -53,3 +56,48 @@ def test_dtype_preserved(tmp_path):
     state, _ = load_checkpoint(path)
     assert state["f32"].dtype == np.float32
     assert state["i64"].dtype == np.int64
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, {"w": np.ones(3)}, {"step": 1})
+
+    def broken_savez(handle, **payload):
+        handle.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", broken_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"w": np.zeros(3)}, {"step": 2})
+    monkeypatch.undo()
+    state, meta = load_checkpoint(path)
+    np.testing.assert_array_equal(state["w"], np.ones(3))
+    assert meta == {"step": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+
+
+def test_format_version_stamped_and_hidden(tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, {"w": np.ones(2)})
+    with np.load(path) as archive:
+        assert int(archive["__format_version__"]) == FORMAT_VERSION
+    state, _ = load_checkpoint(path)
+    assert set(state) == {"w"}
+
+
+def test_unversioned_legacy_checkpoint_loads(tmp_path):
+    path = tmp_path / "legacy.npz"
+    meta = np.frombuffer(json.dumps({"hidden": 8}).encode("utf-8"),
+                         dtype=np.uint8)
+    np.savez(path, w=np.arange(3.0), __meta_json__=meta)
+    state, loaded_meta = load_checkpoint(path)
+    np.testing.assert_array_equal(state["w"], np.arange(3.0))
+    assert loaded_meta == {"hidden": 8}
+
+
+def test_newer_format_version_rejected(tmp_path):
+    path = tmp_path / "future.npz"
+    np.savez(path, w=np.ones(1),
+             __format_version__=np.int64(FORMAT_VERSION + 1))
+    with pytest.raises(ValueError, match="format version"):
+        load_checkpoint(path)

@@ -20,6 +20,14 @@ def test_basic_construction():
     assert t.route_id == 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_points(bad):
+    points = [[0, 0], [1, 1], [2, 2], [3, 3]]
+    points[2][1] = bad
+    with pytest.raises(ValueError, match="point 2 is not finite"):
+        make(points)
+
+
 def test_rejects_wrong_shapes():
     with pytest.raises(ValueError):
         make([[0, 0, 0], [1, 1, 1]])

@@ -129,9 +129,8 @@ def test_invalid_theta_raises(vocab):
         vocab.context_distribution(5, theta=0.0)
 
 
-def test_sample_noise_range_and_exclusion(vocab, rng):
-    exclude = np.tile(np.arange(NUM_SPECIALS, NUM_SPECIALS + 5), (8, 1))
-    noise = vocab.sample_noise(rng, batch=8, count=16, exclude=exclude)
+def test_sample_noise_range(vocab, rng):
+    noise = vocab.sample_noise(rng, batch=8, count=16)
     assert noise.shape == (8, 16)
     assert noise.min() >= NUM_SPECIALS
     assert noise.max() < vocab.size
