@@ -1,22 +1,21 @@
-"""Data-pipeline gate: parallel streaming synthesis vs. the legacy path.
+"""Data-pipeline gate: fused in-process synthesis vs. the per-pair path.
 
 The training pairs of the paper (Section IV-B: the r1 × r2 grid of
-degraded variants, 16 per original) used to be materialized by
-``build_training_pairs`` + ``PairDataset`` — per-pair ``Trajectory``
-construction and a KD-tree query per pair (the target tokenized 16×).
-This bench measures, on a synthetic Porto-like archive:
+degraded variants, 16 per original) can be built one pair at a time —
+a ``degrade`` (one ``Trajectory`` per variant) and a KD-tree query per
+pair, the target tokenized 16×.  This bench measures, on a synthetic
+Porto-like archive:
 
-* **legacy** — the pre-pipeline path: ``build_training_pairs`` then
-  ``PairDataset`` tokenization;
-* **pipeline_w0** — ``TrainingDataPipeline`` in-process mode: fused
-  per-original synthesis (target tokenized once, one KD-tree query for
-  all 16 variants, raw-array degrade);
-* **pipeline_w1 / pipeline_w4** — the same stream sharded across 1 / 4
-  worker processes through the bounded result queue.
+* **per_pair** — that path, kept here as the baseline (see
+  :func:`per_pair_dataset`); it yields the same pairs as the pipeline;
+* **pipeline** — ``TrainingDataPipeline``: fused per-original synthesis
+  (target tokenized once, one KD-tree query for all 16 variants,
+  raw-array degradation rules).
 
 It also measures padding efficiency: padded-tokens-per-real-token of the
-assembled batch stream with length bucketing versus shuffle-only
-batching.
+pipeline's length-bucketed batch stream versus shuffle-only batching of
+the same pairs, which the bench assembles itself from ``token_pairs()``
+and ``make_batch``.
 
 Timing protocol (same as the sibling benches): the host is a contended
 CPU, so the modes are interleaved round-robin and each keeps its
@@ -32,9 +31,9 @@ smoke profile.  ``REPRO_BENCH_FAST=1`` also selects the smoke profile.
 Per-mode metrics additionally land in
 ``benchmarks/results/data_metrics.jsonl``.
 
-Full-profile gate (checked when run standalone): the 4-worker pipeline
-must clear ≥2x the legacy path's pairs/sec, and bucketed batching must
-pad less than shuffle-only batching.
+Full-profile gate (checked when run standalone): the pipeline must clear
+≥2x the per-pair path's pairs/sec, and bucketed batching must pad less
+than shuffle-only batching.
 """
 
 from __future__ import annotations
@@ -47,9 +46,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.data import PairDataset, build_training_pairs
+from repro.data import (DEFAULT_DISTORTING_RATES, DEFAULT_DROPPING_RATES,
+                        TokenPairDataset, TrainingDataPipeline, degrade,
+                        make_batch, pair_rng, tokenize)
 from repro.data.generator import porto_like
-from repro.data.pipeline import TrainingDataPipeline
 from repro.spatial import CellVocabulary, Grid
 from repro.telemetry import MetricsRegistry, write_jsonl
 
@@ -68,8 +68,7 @@ PROFILES = {
                   batch_size=16, bucket_batches=8),
 }
 
-MODES = ("legacy", "pipeline_w0", "pipeline_w1", "pipeline_w4")
-WORKERS = {"pipeline_w0": 0, "pipeline_w1": 1, "pipeline_w4": 4}
+MODES = ("per_pair", "pipeline")
 
 
 def make_workload(profile: dict):
@@ -80,6 +79,44 @@ def make_workload(profile: dict):
     grid = Grid.covering(points, profile["cell_size"])
     vocab = CellVocabulary.build(grid, points, min_hits=profile["min_hits"])
     return trips, vocab
+
+
+def per_pair_dataset(trips, vocab, seed: int = 0) -> TokenPairDataset:
+    """The per-pair baseline: ``degrade`` then ``tokenize`` for every pair.
+
+    Each original draws from its :func:`~repro.data.pair_rng`, in the
+    pipeline's r1-major order, so the result holds the pipeline's pairs.
+    """
+    sources, targets = [], []
+    for index, original in enumerate(trips):
+        rng = pair_rng(seed, index)
+        for r1 in DEFAULT_DROPPING_RATES:
+            for r2 in DEFAULT_DISTORTING_RATES:
+                sources.append(tokenize(degrade(original, r1, r2, rng), vocab))
+                targets.append(tokenize(original, vocab))
+    return TokenPairDataset(sources, targets)
+
+
+def shuffle_only_batches(pipeline, batch_size: int, rng):
+    """The pipeline's pairs batched without a length sort.
+
+    Same windows and seeding as the pipeline's bucketed batches, but each
+    window is shuffled pair by pair and chunked in that random order.
+    """
+    shuffle_rng = np.random.default_rng(
+        int(rng.integers(np.iinfo(np.int64).max)))
+    window = batch_size * pipeline.bucket_batches
+    pairs = list(pipeline.token_pairs())
+    batches = []
+    for start in range(0, len(pairs), window):
+        chunk = pairs[start:start + window]
+        order = np.arange(len(chunk))
+        shuffle_rng.shuffle(order)
+        for i in range(0, len(order), batch_size):
+            picked = [chunk[j] for j in order[i:i + batch_size]]
+            batches.append(make_batch([source for source, _ in picked],
+                                      [target for _, target in picked]))
+    return batches
 
 
 def pad_overhead(batches) -> float:
@@ -95,19 +132,13 @@ def run(smoke: bool = False, output: Path = DEFAULT_OUTPUT) -> dict:
     trips, vocab = make_workload(profile)
     num_pairs = 16 * len(trips)
 
-    def run_legacy():
-        pairs = build_training_pairs(trips, rng=np.random.default_rng(0))
-        return PairDataset(pairs, vocab)
-
-    def make_runner(workers):
-        pipeline = TrainingDataPipeline(trips, vocab, seed=0,
-                                        num_workers=workers,
-                                        registry=registry)
-        return lambda: sum(1 for _ in pipeline.token_pairs())
-
-    runners = {"legacy": run_legacy}
-    for mode, workers in WORKERS.items():
-        runners[mode] = make_runner(workers)
+    pipeline = TrainingDataPipeline(
+        trips, vocab, seed=0, bucket_batches=profile["bucket_batches"],
+        registry=registry)
+    runners = {
+        "per_pair": lambda: per_pair_dataset(trips, vocab),
+        "pipeline": lambda: sum(1 for _ in pipeline.token_pairs()),
+    }
 
     for mode in MODES:                      # warm caches outside timing
         runners[mode]()
@@ -130,17 +161,11 @@ def run(smoke: bool = False, output: Path = DEFAULT_OUTPUT) -> dict:
         }
 
     # Padding efficiency: same pairs, bucketed vs shuffle-only batching.
-    bucketed = TrainingDataPipeline(
-        trips, vocab, seed=0, bucket_batches=profile["bucket_batches"],
-        registry=registry)
-    shuffled = TrainingDataPipeline(
-        trips, vocab, seed=0, bucket_batches=profile["bucket_batches"],
-        bucketing=False, registry=registry)
     rng = np.random.default_rng(1)
     bucketed_overhead = pad_overhead(
-        list(bucketed.batches(profile["batch_size"], rng)))
+        list(pipeline.batches(profile["batch_size"], rng)))
     shuffled_overhead = pad_overhead(
-        list(shuffled.batches(profile["batch_size"], rng)))
+        shuffle_only_batches(pipeline, profile["batch_size"], rng))
     registry.gauge("data.pad_overhead.bucketed").set(bucketed_overhead)
     registry.gauge("data.pad_overhead.shuffled").set(shuffled_overhead)
 
@@ -158,12 +183,9 @@ def run(smoke: bool = False, output: Path = DEFAULT_OUTPUT) -> dict:
             "shuffled_pad_per_real_token": round(shuffled_overhead, 4),
         },
         "summary": {
-            "pipeline_w0_speedup": round(
-                report_modes["pipeline_w0"]["pairs_per_s"]
-                / report_modes["legacy"]["pairs_per_s"], 2),
-            "pipeline_w4_speedup": round(
-                report_modes["pipeline_w4"]["pairs_per_s"]
-                / report_modes["legacy"]["pairs_per_s"], 2),
+            "pipeline_speedup": round(
+                report_modes["pipeline"]["pairs_per_s"]
+                / report_modes["per_pair"]["pairs_per_s"], 2),
             "bucketing_pad_reduction": round(
                 1.0 - bucketed_overhead / shuffled_overhead, 4),
         },
@@ -176,11 +198,11 @@ def run(smoke: bool = False, output: Path = DEFAULT_OUTPUT) -> dict:
              f"{len(trips)} trips ({num_pairs} pairs per epoch)"]
     for mode in MODES:
         res = report_modes[mode]
-        lines.append(f"  {mode:12s}: {res['pairs_per_s']:>10,.0f} pairs/s  "
+        lines.append(f"  {mode:8s}: {res['pairs_per_s']:>10,.0f} pairs/s  "
                      f"epoch {res['epoch_s'] * 1e3:>8,.1f} ms")
     summary = report["summary"]
-    lines.append(f"  pipeline speedup vs legacy: {summary['pipeline_w0_speedup']}x "
-                 f"in-process, {summary['pipeline_w4_speedup']}x at 4 workers")
+    lines.append(f"  pipeline speedup vs per-pair: "
+                 f"{summary['pipeline_speedup']}x")
     lines.append(f"  pad tokens per real token: "
                  f"{report['padding']['bucketed_pad_per_real_token']:.4f} "
                  f"bucketed vs "
@@ -189,6 +211,18 @@ def run(smoke: bool = False, output: Path = DEFAULT_OUTPUT) -> dict:
                  f"({summary['bucketing_pad_reduction']:.1%} less padding)")
     print("\n".join(lines))
     return report
+
+
+def test_per_pair_baseline_matches_pipeline():
+    """The baseline times the same pairs the pipeline streams."""
+    trips, vocab = make_workload(PROFILES["smoke"])
+    baseline = per_pair_dataset(trips[:8], vocab)
+    pairs = list(TrainingDataPipeline(trips[:8], vocab, seed=0).token_pairs())
+    assert len(pairs) == len(baseline)
+    for (source, target), want_source, want_target in zip(
+            pairs, baseline.sources, baseline.targets):
+        np.testing.assert_array_equal(source, want_source)
+        np.testing.assert_array_equal(target, want_target)
 
 
 def test_data_smoke(tmp_path):
@@ -214,7 +248,7 @@ def main(argv=None) -> None:
     report = run(smoke=args.smoke or FAST, output=args.output)
     if report["profile"] == "full":
         summary = report["summary"]
-        assert summary["pipeline_w4_speedup"] >= 2.0, summary
+        assert summary["pipeline_speedup"] >= 2.0, summary
         assert summary["bucketing_pad_reduction"] > 0.0, summary
 
 

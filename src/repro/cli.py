@@ -55,9 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip cell-embedding pretraining (CL)")
     train.add_argument("--epochs", type=int, default=10)
     train.add_argument("--batch-size", type=int, default=256)
-    train.add_argument("--num-workers", type=int, default=0,
-                       help="data-pipeline worker processes "
-                            "(0 = synthesize pairs in-process)")
     train.add_argument("--bucket-batches", type=int, default=8,
                        help="length-bucketing window of the data "
                             "pipeline, in batches")
@@ -131,7 +128,6 @@ def _cmd_train(args) -> int:
         pretrain_cells=not args.no_pretrain,
         training=TrainingConfig(batch_size=args.batch_size,
                                 max_epochs=args.epochs,
-                                num_workers=args.num_workers,
                                 bucket_batches=args.bucket_batches),
         seed=args.seed,
     )

@@ -35,8 +35,8 @@ import numpy as np
 
 from ..baselines.base import TrajectoryDistance
 from ..data.dataset import pad_batch, tokenize
-from ..data.pairs import DEFAULT_DISTORTING_RATES, DEFAULT_DROPPING_RATES
-from ..data.pipeline import TrainingDataPipeline
+from ..data.pipeline import (DEFAULT_DISTORTING_RATES, DEFAULT_DROPPING_RATES,
+                             TrainingDataPipeline)
 from ..data.trajectory import Trajectory
 from ..nn.serialization import load_checkpoint, save_checkpoint
 from ..spatial.grid import Grid
@@ -202,12 +202,10 @@ class T2Vec(TrajectoryDistance):
         """Training pipeline + materialized validation set.
 
         Training streams through :class:`TrainingDataPipeline`
-        (``training.num_workers`` processes, length-bucketed batches,
-        background prefetch).  Validation is synthesized by the same
-        deterministic per-original seeding but materialized once — it is
-        evaluated every round, and the materialized
-        ``TokenPairDataset.batches`` path is the pipeline's exact-parity
-        reference.
+        (in-process synthesis, length-bucketed batches, background
+        prefetch); the pipeline checks the rate grid.  Validation is
+        synthesized by the same deterministic per-original seeding but
+        materialized once, because it is evaluated every round.
         """
         cfg = self.config
         train_seed = int(self._rng.integers(2 ** 31 - 1))
@@ -215,7 +213,6 @@ class T2Vec(TrajectoryDistance):
         train_ds = TrainingDataPipeline(
             train, self.vocab, cfg.dropping_rates, cfg.distorting_rates,
             seed=train_seed,
-            num_workers=cfg.training.num_workers,
             bucket_batches=cfg.training.bucket_batches,
             prefetch_batches=cfg.training.prefetch_batches,
             registry=self.registry)

@@ -15,7 +15,6 @@ tokens/sec, and wall-clock into a :class:`~repro.telemetry.MetricsRegistry`
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -30,6 +29,11 @@ from .encoder_decoder import EncoderDecoder
 from .losses import LossSpec, sequence_loss
 
 
+#: Training-config keys of older checkpoints that no longer exist: the
+#: worker count of the multi-process data pipeline, which was removed.
+_RETIRED_KEYS = frozenset({"num_workers"})
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     """Optimization hyper-parameters (paper values in parentheses)."""
@@ -40,7 +44,6 @@ class TrainingConfig:
     clip_norm: float = 5.0         # max gradient norm (5)
     patience: int = 5              # validation rounds without improvement
     eval_batches: int = 20         # validation mini-batches per round
-    num_workers: int = 0           # data-pipeline worker processes
     bucket_batches: int = 8        # length-bucketing window, in batches
     prefetch_batches: int = 2      # batches kept ready by the prefetcher
     seed: int = 0
@@ -51,7 +54,13 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TrainingConfig":
-        """Build from :meth:`to_dict` output; unknown keys are rejected."""
+        """Build from :meth:`to_dict` output; unknown keys are rejected.
+
+        Keys that older checkpoints still carry but that configure nothing
+        any more (``_RETIRED_KEYS``) are dropped.
+        """
+        data = {k: v for k, v in data.items()
+                if k not in _RETIRED_KEYS}
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -74,17 +83,14 @@ class TrainingResult:
     stopped_early: bool = False
 
 
-_POSITIONAL_FIT_WARNED = False
-
-
 class Trainer:
     """Fits an :class:`EncoderDecoder` on any :class:`BatchSource`.
 
     The source may be a materialized
-    :class:`~repro.data.dataset.TokenPairDataset` (the reference path)
-    or a streaming :class:`~repro.data.pipeline.TrainingDataPipeline`
-    (parallel synthesis, length-bucketed batches, background prefetch);
-    both yield the same :class:`~repro.data.dataset.Batch` layout.
+    :class:`~repro.data.dataset.TokenPairDataset` or a streaming
+    :class:`~repro.data.pipeline.TrainingDataPipeline` (pairs synthesized
+    in-process, length-bucketed batches, background prefetch); both yield
+    the same :class:`~repro.data.dataset.Batch` layout.
     """
 
     def __init__(self, model: EncoderDecoder, vocab: ProximityVocabulary,
@@ -106,30 +112,15 @@ class Trainer:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def fit(self, train: BatchSource, *legacy_args,
+    def fit(self, train: BatchSource, *,
             validation: Optional[BatchSource] = None,
             callbacks: Sequence[Callback] = (),
             registry: Optional[MetricsRegistry] = None) -> TrainingResult:
         """Train until ``max_epochs``, early stopping, or a callback's
         :class:`~repro.telemetry.StopTraining`; restores best weights.
 
-        ``validation`` and later arguments are keyword-only; a single
-        extra positional argument is still accepted as ``validation``
-        for backward compatibility (deprecated).
+        ``validation`` and later arguments are keyword-only.
         """
-        if legacy_args:
-            global _POSITIONAL_FIT_WARNED
-            if len(legacy_args) > 1 or validation is not None:
-                raise TypeError("fit() accepts at most one positional "
-                                "validation dataset")
-            if not _POSITIONAL_FIT_WARNED:
-                warnings.warn(
-                    "passing validation positionally to Trainer.fit is "
-                    "deprecated; use fit(train, validation=...)",
-                    DeprecationWarning, stacklevel=2)
-                _POSITIONAL_FIT_WARNED = True
-            validation = legacy_args[0]
-
         reg = self._registry(registry)
         hooks = CallbackList(list(callbacks))
         result = TrainingResult()

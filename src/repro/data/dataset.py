@@ -15,7 +15,6 @@ import numpy as np
 
 from ..nn.tensor import get_default_dtype
 from ..spatial.vocab import BOS, EOS, PAD, CellVocabulary
-from .pairs import TrainingPair
 from .trajectory import Trajectory
 
 
@@ -88,9 +87,9 @@ def make_batch(sources: Sequence[np.ndarray],
 class BatchSource(Protocol):
     """Anything :class:`~repro.core.trainer.Trainer` can draw batches from.
 
-    Implemented by :class:`TokenPairDataset` (materialized reference path)
-    and :class:`repro.data.pipeline.TrainingDataPipeline` (parallel
-    streaming path).
+    Implemented by :class:`TokenPairDataset` (materialized pairs) and
+    :class:`repro.data.pipeline.TrainingDataPipeline` (pairs synthesized
+    while training streams).
     """
 
     def __len__(self) -> int: ...
@@ -142,17 +141,3 @@ class TokenPairDataset:
     def _make_batch(self, indices: np.ndarray) -> Batch:
         return make_batch([self.sources[i] for i in indices],
                           [self.targets[i] for i in indices])
-
-
-class PairDataset(TokenPairDataset):
-    """Trajectory training pairs tokenized through a cell vocabulary."""
-
-    def __init__(self, pairs: Sequence[TrainingPair], vocab: CellVocabulary,
-                 dedup_consecutive: bool = False):
-        self.vocab = vocab
-        super().__init__(
-            sources=[tokenize(p.source, vocab, dedup_consecutive)
-                     for p in pairs],
-            targets=[tokenize(p.target, vocab, dedup_consecutive)
-                     for p in pairs],
-        )

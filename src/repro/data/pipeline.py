@@ -1,28 +1,17 @@
-"""Parallel streaming training-data pipeline (degrade → tokenize → batch).
+"""In-process streaming training-data pipeline (degrade → tokenize → batch).
 
-The paper's pair synthesis (Section IV-B: the r1 × r2 grid of
-downsampled/distorted variants, 16 per original) was the last serial,
-eagerly-materialized stage of the training stack.  This module streams
-it instead:
+The paper builds its training set once: every original is degraded at
+each (r1, r2) of the rate grid, 16 pairs per original (Section IV-B).
+This module streams those pairs straight into training batches:
 
-* **Sharded synthesis.**  Originals are split into chunks and sharded
-  round-robin across worker processes.  Each original is degraded and
-  tokenized with its *own* RNG, derived as
-  ``SeedSequence(seed, spawn_key=(epoch, original_index))`` — the stream
-  is bit-identical for a given seed regardless of ``num_workers``
-  (including the ``num_workers=0`` in-process mode), because the seed
-  depends only on the original's position, never on which worker
-  happened to process it.
+* **Seeded per-original synthesis.**  Original ``i`` is degraded with its
+  own RNG, spawned as ``SeedSequence(seed, spawn_key=(0, i))``
+  (:func:`pair_rng`), so a seed fixes the whole token stream and every
+  ``batches()`` pass replays the same pairs.
 * **Fused per-original work.**  The target is tokenized once per
-  original (the materialized path tokenized it once per pair — 16×),
-  and all variants' points go through a single KD-tree query, so even
-  the in-process mode is several times faster than
-  ``build_training_pairs`` + :class:`~repro.data.dataset.PairDataset`.
-* **Bounded streaming.**  Workers push ``(chunk_index, pairs)`` results
-  through a bounded queue; the consumer restores original order with a
-  small reorder buffer (chunks are round-robin, so no worker can run
-  unboundedly ahead of the in-order cursor while the queue exerts
-  backpressure).
+  original, the variants come from the raw-array rules of
+  :mod:`repro.data.transforms`, and all their points go through a single
+  KD-tree query.
 * **Length-bucketed batching.**  Token pairs accumulate into a window
   of ``bucket_batches`` batches, are stable-sorted by source length,
   chunked, and the chunk order is shuffled — long sequences pad against
@@ -30,18 +19,16 @@ it instead:
   positions than shuffle-only batching, without a global length
   curriculum.
 * **Double-buffered prefetch.**  A background thread (:class:`Prefetcher`)
-  keeps ``prefetch_batches`` assembled batches ready so the optimizer
-  never waits on padding work.
+  keeps ``prefetch_batches`` assembled batches ready.
 
 Telemetry (recorded into the registry passed at construction, or the
-process default): ``data.queue.depth`` gauge, ``data.worker.wait_s`` /
-``data.worker.produce_s`` histograms, and ``data.tokens.real`` /
-``data.tokens.pad`` / ``data.pairs`` / ``data.batches`` counters.
+process default): the ``data.worker.produce_s`` histogram (synthesis
+time per original) and the ``data.tokens.real`` / ``data.tokens.pad`` /
+``data.pairs`` / ``data.batches`` counters.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import queue as queue_mod
 import threading
 import time
@@ -52,127 +39,56 @@ import numpy as np
 from ..spatial.vocab import CellVocabulary
 from ..telemetry import MetricsRegistry, get_registry
 from .dataset import Batch, TokenPairDataset, make_batch
-from .pairs import DEFAULT_DISTORTING_RATES, DEFAULT_DROPPING_RATES
 from .trajectory import Trajectory
-from .transforms import DISTORTION_RADIUS_M
+from .transforms import (check_distorting_rate, check_dropping_rate,
+                         distort_points, kept_indices)
+
+#: The paper's rate grid (Section V-A): r1 × r2, 16 pairs per original.
+DEFAULT_DROPPING_RATES: Tuple[float, ...] = (0.0, 0.2, 0.4, 0.6)
+DEFAULT_DISTORTING_RATES: Tuple[float, ...] = (0.0, 0.2, 0.4, 0.6)
 
 #: One tokenized training pair: (degraded source tokens, target tokens).
 TokenPair = Tuple[np.ndarray, np.ndarray]
 
 
 # ----------------------------------------------------------------------
-# Deterministic synthesis (shared by workers and the in-process mode)
+# Deterministic synthesis
 # ----------------------------------------------------------------------
-def pair_rng(seed: int, original_index: int, epoch: int = 0) -> np.random.Generator:
-    """The RNG that degrades original ``original_index`` in ``epoch``.
+def pair_rng(seed: int, original_index: int) -> np.random.Generator:
+    """The RNG that degrades original ``original_index``.
 
-    Spawned from the pipeline seed by ``(epoch, original_index)`` alone,
-    so any worker (or the in-process mode) reproduces the exact same
-    variant stream for that original.
+    Spawned from the pipeline seed by ``(0, original_index)`` alone, so
+    any original's pairs can be reproduced on their own.  The leading 0
+    is fixed; it keeps each seed's stream what it was when the key also
+    carried an epoch number.
     """
     return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(epoch, original_index)))
-
-
-def _degraded_points(points: np.ndarray, dropping_rate: float,
-                     distorting_rate: float, rng: np.random.Generator,
-                     radius: float = DISTORTION_RADIUS_M) -> np.ndarray:
-    """Raw-array twin of :func:`repro.data.transforms.degrade`.
-
-    Draw-for-draw identical to ``degrade(Trajectory(points), r1, r2, rng)``
-    (pinned by tests), minus the per-variant ``Trajectory`` construction
-    and validation overhead.
-    """
-    n = len(points)
-    if dropping_rate > 0.0 and n > 2:
-        keep = rng.random(n) >= dropping_rate
-        keep[0] = True
-        keep[-1] = True
-        points = points[keep]
-    if distorting_rate > 0.0:
-        selected = rng.random(len(points)) < distorting_rate
-        if selected.any():
-            points = points.copy()
-            noise = rng.standard_normal((int(selected.sum()), 2)) * radius
-            points[selected] += noise
-    return points
-
-
-def _dedup_consecutive(tokens: np.ndarray) -> np.ndarray:
-    """Collapse runs of identical tokens (same rule as ``tokenize``)."""
-    if len(tokens) > 1:
-        keep = np.concatenate([[True], tokens[1:] != tokens[:-1]])
-        tokens = tokens[keep]
-    return tokens
+        np.random.SeedSequence(seed, spawn_key=(0, original_index)))
 
 
 def synthesize_token_pairs(original: Trajectory, vocab: CellVocabulary,
                            dropping_rates: Sequence[float],
                            distorting_rates: Sequence[float],
-                           rng: np.random.Generator,
-                           dedup_consecutive: bool = False) -> List[TokenPair]:
+                           rng: np.random.Generator) -> List[TokenPair]:
     """Degrade → tokenize the full r1 × r2 grid for one original.
 
-    The target is tokenized once and shared (read-only) across the
-    grid's pairs; all variants' points go through one KD-tree query.
+    Draw-for-draw the same as ``degrade(original, r1, r2, rng)`` per pair
+    in r1-major order.  The target is tokenized once and shared
+    (read-only) across the grid's pairs; all variants' points go through
+    one KD-tree query.
     """
     points = original.points
     target = vocab.tokenize_points(points)
-    if dedup_consecutive:
-        target = _dedup_consecutive(target)
     variants: List[np.ndarray] = []
     for r1 in dropping_rates:
         for r2 in distorting_rates:
-            variants.append(_degraded_points(points, r1, r2, rng))
-    lengths = [len(v) for v in variants]
+            kept = kept_indices(points, r1, rng)
+            variants.append(distort_points(
+                points if kept is None else points[kept], r2, rng))
     tokens = vocab.tokenize_points(np.concatenate(variants, axis=0))
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    pairs: List[TokenPair] = []
-    for i in range(len(variants)):
-        source = tokens[offsets[i]:offsets[i + 1]].copy()
-        if dedup_consecutive:
-            source = _dedup_consecutive(source)
-        pairs.append((source, target))
-    return pairs
-
-
-def _synthesize_chunk(originals: Sequence[Trajectory], start_index: int,
-                      vocab: CellVocabulary,
-                      dropping_rates: Sequence[float],
-                      distorting_rates: Sequence[float],
-                      seed: int, epoch: int,
-                      dedup_consecutive: bool) -> List[TokenPair]:
-    """All token pairs for one contiguous chunk of originals."""
-    pairs: List[TokenPair] = []
-    for offset, original in enumerate(originals):
-        rng = pair_rng(seed, start_index + offset, epoch)
-        pairs.extend(synthesize_token_pairs(
-            original, vocab, dropping_rates, distorting_rates, rng,
-            dedup_consecutive))
-    return pairs
-
-
-def _worker_main(work_items, vocab, dropping_rates, distorting_rates,
-                 seed, epoch, dedup_consecutive, out_queue) -> None:
-    """Worker process: synthesize assigned chunks, stream them back.
-
-    Each result is ``("chunk", chunk_index, pairs, produce_seconds)``;
-    a final ``("done", ...)`` sentinel (or ``("error", ...)`` carrying
-    the formatted exception) tells the consumer the shard is finished.
-    Module-level so the ``spawn`` start method (macOS, Windows) can
-    pickle it.
-    """
-    try:
-        for chunk_index, start_index, originals in work_items:
-            started = time.perf_counter()
-            pairs = _synthesize_chunk(originals, start_index, vocab,
-                                      dropping_rates, distorting_rates,
-                                      seed, epoch, dedup_consecutive)
-            out_queue.put(("chunk", chunk_index, pairs,
-                           time.perf_counter() - started))
-        out_queue.put(("done", None, None, None))
-    except BaseException as exc:  # surface worker failures in the consumer
-        out_queue.put(("error", None, f"{type(exc).__name__}: {exc}", None))
+    offsets = np.concatenate([[0], np.cumsum([len(v) for v in variants])])
+    return [(tokens[offsets[i]:offsets[i + 1]].copy(), target)
+            for i in range(len(variants))]
 
 
 # ----------------------------------------------------------------------
@@ -187,8 +103,7 @@ class Prefetcher:
     A daemon thread drains ``source`` into a bounded queue of ``depth``
     items so the consumer always finds the next item (batch) assembled.
     Exceptions raised by the source re-raise in the consumer; ``close``
-    stops the thread early and closes the source generator (which tears
-    down any worker processes it owns).
+    stops the thread early and closes the source generator.
     """
 
     def __init__(self, source: Iterator, depth: int = 2):
@@ -262,12 +177,12 @@ class TrainingDataPipeline:
 
     Parameters
     ----------
-    num_workers:
-        ``0`` synthesizes in-process (the reference mode); ``n > 0``
-        shards chunk synthesis across ``n`` processes.  The token-pair
-        stream is bit-identical either way.
-    chunk_size:
-        Originals per work item (amortizes queue/pickle overhead).
+    dropping_rates, distorting_rates:
+        The rate grid; each original yields one pair per (r1, r2), in
+        r1-major order.  r1 must lie in [0, 1) and r2 in [0, 1], as for
+        :func:`~repro.data.transforms.degrade`.
+    seed:
+        Seeds the per-original RNGs (:func:`pair_rng`).
     bucket_batches:
         Length-bucketing window, in batches.  ``None`` buffers the whole
         epoch, which makes the batch stream exactly reproduce
@@ -275,19 +190,6 @@ class TrainingDataPipeline:
     prefetch_batches:
         Assembled batches kept ready by the background prefetch thread
         (``0`` disables prefetching).
-    queue_size:
-        Bound on the inter-process result queue, in work items.
-    bucketing:
-        ``False`` switches to shuffle-only batching (no length sort) —
-        kept for the padding-efficiency benchmark.
-    fresh_each_epoch:
-        Re-degrade originals with new draws on every ``batches()`` call
-        (epoch-indexed seeds).  Leave ``False`` for validation pipelines
-        and for parity with the materialize-once reference path.
-    start_method:
-        Multiprocessing start method (``"fork"``, ``"spawn"``,
-        ``"forkserver"``); ``None`` uses the platform default.  The
-        stream is bit-identical under every method.
     """
 
     def __init__(self, originals: Sequence[Trajectory],
@@ -295,44 +197,30 @@ class TrainingDataPipeline:
                  dropping_rates: Sequence[float] = DEFAULT_DROPPING_RATES,
                  distorting_rates: Sequence[float] = DEFAULT_DISTORTING_RATES,
                  seed: int = 0,
-                 num_workers: int = 0,
-                 chunk_size: int = 16,
                  bucket_batches: Optional[int] = 8,
                  prefetch_batches: int = 2,
-                 queue_size: int = 8,
-                 bucketing: bool = True,
-                 fresh_each_epoch: bool = False,
-                 dedup_consecutive: bool = False,
-                 start_method: Optional[str] = None,
                  registry: Optional[MetricsRegistry] = None):
-        if num_workers < 0:
-            raise ValueError(f"num_workers must be >= 0, got {num_workers}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        self.dropping_rates = tuple(dropping_rates)
+        self.distorting_rates = tuple(distorting_rates)
+        if not self.dropping_rates or not self.distorting_rates:
+            raise ValueError(
+                "dropping_rates and distorting_rates must not be empty")
+        for rate in self.dropping_rates:
+            check_dropping_rate(rate)
+        for rate in self.distorting_rates:
+            check_distorting_rate(rate)
         if bucket_batches is not None and bucket_batches < 1:
             raise ValueError(
                 f"bucket_batches must be >= 1 or None, got {bucket_batches}")
         if prefetch_batches < 0:
             raise ValueError(
                 f"prefetch_batches must be >= 0, got {prefetch_batches}")
-        if queue_size < 1:
-            raise ValueError(f"queue_size must be >= 1, got {queue_size}")
         self.originals = list(originals)
         self.vocab = vocab
-        self.dropping_rates = tuple(dropping_rates)
-        self.distorting_rates = tuple(distorting_rates)
         self.seed = seed
-        self.num_workers = num_workers
-        self.chunk_size = chunk_size
         self.bucket_batches = bucket_batches
         self.prefetch_batches = prefetch_batches
-        self.queue_size = queue_size
-        self.bucketing = bucketing
-        self.fresh_each_epoch = fresh_each_epoch
-        self.dedup_consecutive = dedup_consecutive
-        self.start_method = start_method
         self.registry = registry
-        self._epoch = 0
 
     def _registry(self) -> MetricsRegistry:
         return self.registry or get_registry()
@@ -345,97 +233,22 @@ class TrainingDataPipeline:
     # ------------------------------------------------------------------
     # Token-pair stream
     # ------------------------------------------------------------------
-    def _chunks(self):
-        for chunk_index, start in enumerate(
-                range(0, len(self.originals), self.chunk_size)):
-            yield chunk_index, start, self.originals[start:start + self.chunk_size]
-
-    def token_pairs(self, epoch: int = 0) -> Iterator[TokenPair]:
+    def token_pairs(self) -> Iterator[TokenPair]:
         """The deterministic (source, target) token stream, in original
-        order — identical for every ``num_workers`` value."""
-        if self.num_workers == 0:
-            return self._serial_pairs(epoch)
-        return self._parallel_pairs(epoch)
-
-    def _serial_pairs(self, epoch: int) -> Iterator[TokenPair]:
+        order."""
         reg = self._registry()
-        for _, start, chunk in self._chunks():
+        for index, original in enumerate(self.originals):
             started = time.perf_counter()
-            pairs = _synthesize_chunk(chunk, start, self.vocab,
-                                      self.dropping_rates,
-                                      self.distorting_rates,
-                                      self.seed, epoch,
-                                      self.dedup_consecutive)
+            pairs = synthesize_token_pairs(original, self.vocab,
+                                           self.dropping_rates,
+                                           self.distorting_rates,
+                                           pair_rng(self.seed, index))
             reg.histogram("data.worker.produce_s").observe(
                 time.perf_counter() - started)
             reg.counter("data.pairs").inc(len(pairs))
-            for pair in pairs:
-                yield pair
+            yield from pairs
 
-    def _parallel_pairs(self, epoch: int) -> Iterator[TokenPair]:
-        reg = self._registry()
-        ctx = mp.get_context(self.start_method)
-        out_queue = ctx.Queue(maxsize=self.queue_size)
-        items = list(self._chunks())
-        shards = [items[w::self.num_workers] for w in range(self.num_workers)]
-        processes = [
-            ctx.Process(target=_worker_main,
-                        args=(shard, self.vocab, self.dropping_rates,
-                              self.distorting_rates, self.seed, epoch,
-                              self.dedup_consecutive, out_queue),
-                        daemon=True)
-            for shard in shards if shard
-        ]
-        for process in processes:
-            process.start()
-        try:
-            pending = {}
-            next_index = 0
-            finished = 0
-            while finished < len(processes):
-                waited = time.perf_counter()
-                while True:
-                    try:
-                        kind, chunk_index, payload, produce_s = out_queue.get(
-                            timeout=1.0)
-                        break
-                    except queue_mod.Empty:
-                        dead = [p for p in processes
-                                if not p.is_alive() and p.exitcode not in (0, None)]
-                        if dead:
-                            raise RuntimeError(
-                                "data pipeline worker died with exit code "
-                                f"{dead[0].exitcode} before finishing its "
-                                "shard") from None
-                reg.histogram("data.worker.wait_s").observe(
-                    time.perf_counter() - waited)
-                try:
-                    reg.gauge("data.queue.depth").set(out_queue.qsize())
-                except NotImplementedError:  # macOS has no Queue.qsize
-                    pass
-                if kind == "done":
-                    finished += 1
-                    continue
-                if kind == "error":
-                    raise RuntimeError(
-                        f"data pipeline worker failed: {payload}")
-                reg.counter("data.pairs").inc(len(payload))
-                reg.histogram("data.worker.produce_s").observe(produce_s)
-                pending[chunk_index] = payload
-                while next_index in pending:
-                    for pair in pending.pop(next_index):
-                        yield pair
-                    next_index += 1
-        finally:
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            for process in processes:
-                process.join(timeout=10)
-            out_queue.close()
-            out_queue.cancel_join_thread()
-
-    def materialize(self, epoch: int = 0) -> TokenPairDataset:
+    def materialize(self) -> TokenPairDataset:
         """Drain the stream into a materialized reference dataset.
 
         The result's ``batches(batch_size, default_rng(s))`` is the
@@ -443,7 +256,7 @@ class TrainingDataPipeline:
         stream (see tests/test_pipeline.py); it is also how validation
         sets are pinned — synthesized once, evaluated many times.
         """
-        pairs = list(self.token_pairs(epoch))
+        pairs = list(self.token_pairs())
         return TokenPairDataset([source for source, _ in pairs],
                                 [target for _, target in pairs])
 
@@ -466,10 +279,7 @@ class TrainingDataPipeline:
         if shuffle:
             rng = rng or np.random.default_rng()
             shuffle_seed = int(rng.integers(np.iinfo(np.int64).max))
-        epoch = self._epoch
-        if self.fresh_each_epoch:
-            self._epoch += 1
-        assembled = self._assemble(batch_size, shuffle_seed, epoch)
+        assembled = self._assemble(batch_size, shuffle_seed)
         if self.prefetch_batches < 1:
             yield from assembled
             return
@@ -479,14 +289,14 @@ class TrainingDataPipeline:
         finally:
             prefetcher.close()
 
-    def _assemble(self, batch_size: int, shuffle_seed: Optional[int],
-                  epoch: int) -> Iterator[Batch]:
+    def _assemble(self, batch_size: int,
+                  shuffle_seed: Optional[int]) -> Iterator[Batch]:
         shuffle_rng = (np.random.default_rng(shuffle_seed)
                        if shuffle_seed is not None else None)
         window = (None if self.bucket_batches is None
                   else batch_size * self.bucket_batches)
         buffer: List[TokenPair] = []
-        for pair in self.token_pairs(epoch):
+        for pair in self.token_pairs():
             buffer.append(pair)
             if window is not None and len(buffer) >= window:
                 yield from self._flush(buffer, batch_size, shuffle_rng)
@@ -496,27 +306,16 @@ class TrainingDataPipeline:
 
     def _flush(self, pairs: List[TokenPair], batch_size: int,
                shuffle_rng: Optional[np.random.Generator]) -> Iterator[Batch]:
-        """Batch one bucketing window.
-
-        With bucketing: stable length sort → consecutive chunks →
-        shuffled chunk order (the same scheme as
-        ``TokenPairDataset.batches``, per window).  Without: shuffled
-        pair order → consecutive chunks.
-        """
+        """Batch one bucketing window: stable length sort → consecutive
+        chunks → shuffled chunk order (the same scheme as
+        ``TokenPairDataset.batches``, per window)."""
         reg = self._registry()
-        if self.bucketing:
-            order = np.argsort([len(source) for source, _ in pairs],
-                               kind="stable")
-            chunks = [order[i:i + batch_size]
-                      for i in range(0, len(order), batch_size)]
-            if shuffle_rng is not None:
-                shuffle_rng.shuffle(chunks)
-        else:
-            order = np.arange(len(pairs))
-            if shuffle_rng is not None:
-                shuffle_rng.shuffle(order)
-            chunks = [order[i:i + batch_size]
-                      for i in range(0, len(order), batch_size)]
+        order = np.argsort([len(source) for source, _ in pairs],
+                           kind="stable")
+        chunks = [order[i:i + batch_size]
+                  for i in range(0, len(order), batch_size)]
+        if shuffle_rng is not None:
+            shuffle_rng.shuffle(chunks)
         for chunk in chunks:
             batch = make_batch([pairs[i][0] for i in chunk],
                                [pairs[i][1] for i in chunk])

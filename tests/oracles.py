@@ -1,18 +1,46 @@
-"""Reference implementations that the fast kernels in ``src/`` are tested against.
+"""Reference implementations that the fast paths in ``src/`` are tested against.
 
-Each oracle is the plainest correct form of its kernel, built from the
-generic autograd ops so that their own gradients come from the tape.
-Differential tests compare the fast path with these, value and gradient.
+Each oracle is the plainest correct form of its fast path: the loss is
+built from the generic autograd ops so that its gradients come from the
+tape, and the training pairs come one at a time from the public
+``degrade`` and ``tokenize``.  Differential tests compare the fast path
+with these.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.data import Trajectory, degrade, pair_rng, tokenize
 from repro.nn import Tensor
 from repro.nn.functional import logsumexp
+from repro.spatial import CellVocabulary
+
+
+def reference_token_pairs(
+    originals: Sequence[Trajectory],
+    vocab: CellVocabulary,
+    dropping_rates: Sequence[float],
+    distorting_rates: Sequence[float],
+    seed: int,
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The training-pair stream, one pair at a time (paper Section IV-B).
+
+    For each original, in order, with that original's :func:`pair_rng`:
+    ``degrade`` at every (r1, r2) in r1-major order, then ``tokenize`` the
+    degraded source and the original target.
+    """
+    pairs = []
+    for index, original in enumerate(originals):
+        rng = pair_rng(seed, index)
+        target = tokenize(original, vocab)
+        for r1 in dropping_rates:
+            for r2 in distorting_rates:
+                source = tokenize(degrade(original, r1, r2, rng), vocab)
+                pairs.append((source, target))
+    return pairs
 
 
 def first_occurrences(candidates: np.ndarray) -> np.ndarray:

@@ -1,23 +1,22 @@
-"""Trainer callback API: firing order, counts, metrics, deprecation shim."""
+"""Trainer callback API: firing order, counts, metrics."""
 
 import numpy as np
 import pytest
 
 from repro.core import (EncoderDecoder, LossSpec, ModelConfig, Trainer,
                         TrainingConfig)
-from repro.data import PairDataset, build_training_pairs
+from repro.data import TrainingDataPipeline
 from repro.telemetry import (Callback, HistoryCallback, MetricsRegistry,
                              ProgressLogger, StopTraining)
 
 
 @pytest.fixture(scope="module")
 def datasets(vocab, trips):
-    rng = np.random.default_rng(0)
-    train_pairs = build_training_pairs(trips[:10], dropping_rates=(0.0,),
-                                       distorting_rates=(0.0,), rng=rng)
-    val_pairs = build_training_pairs(trips[10:13], dropping_rates=(0.0,),
-                                     distorting_rates=(0.0,), rng=rng)
-    return PairDataset(train_pairs, vocab), PairDataset(val_pairs, vocab)
+    train = TrainingDataPipeline(trips[:10], vocab, (0.0,), (0.0,),
+                                 seed=0).materialize()
+    val = TrainingDataPipeline(trips[10:13], vocab, (0.0,), (0.0,),
+                               seed=1).materialize()
+    return train, val
 
 
 def make_trainer(vocab, registry=None, **config):
@@ -144,26 +143,3 @@ def test_trainer_records_registry_metrics(vocab, datasets):
     span_names = {s.name for s in registry.spans}
     assert {"fit", "fit.epoch"} <= span_names
     assert registry.histogram("fit.epoch").count == result.epochs_run
-
-
-def test_positional_validation_shim_warns_once(vocab, datasets):
-    import warnings
-
-    from repro.core import trainer as trainer_module
-    train, val = datasets
-    trainer = make_trainer(vocab, max_epochs=1)
-    trainer_module._POSITIONAL_FIT_WARNED = False
-    with pytest.warns(DeprecationWarning, match="positionally"):
-        result = trainer.fit(train, val)
-    assert len(result.val_losses) == 1  # validation actually used
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # second call must stay silent
-        make_trainer(vocab, max_epochs=1).fit(train, val)
-
-
-def test_positional_and_keyword_validation_conflict(vocab, datasets):
-    train, val = datasets
-    trainer = make_trainer(vocab, max_epochs=1)
-    with pytest.raises(TypeError):
-        trainer.fit(train, val, validation=val)

@@ -57,6 +57,29 @@ def test_from_dict_rejects_unknown_keys():
         LossSpec.from_dict({"kind": "L1", "K": 20})
 
 
+def test_from_dict_drops_retired_num_workers():
+    """Checkpoints written while the data pipeline had worker processes
+    carry ``training.num_workers``; they must still load.  Any other
+    unknown key is still an error."""
+    written = {
+        "cell_size": 77.0, "min_hits": 9, "embedding_size": 12,
+        "hidden_size": 12, "num_layers": 3, "dropout": 0.25,
+        "rnn_type": "lstm",
+        "loss": {"kind": "L2", "k_nearest": 4, "theta": 55.0, "noise": 8},
+        "pretrain_cells": False, "cell_epochs": 7,
+        "dropping_rates": [0.1, 0.2], "distorting_rates": [0.3],
+        "training": {"batch_size": 11, "max_epochs": 21, "lr": 0.002,
+                     "clip_norm": 3.0, "patience": 2, "eval_batches": 4,
+                     "num_workers": 0, "bucket_batches": 8,
+                     "prefetch_batches": 2, "seed": 13},
+        "val_fraction": 0.33, "encode_cache_size": 123, "seed": 42,
+    }
+    assert T2VecConfig.from_dict(written) == custom_config()
+    assert TrainingConfig.from_dict({"num_workers": 4}) == TrainingConfig()
+    with pytest.raises(ValueError, match="unknown TrainingConfig"):
+        TrainingConfig.from_dict({"num_workers": 4, "chunk_size": 16})
+
+
 def test_from_dict_defaults_missing_keys():
     """Old checkpoints carry partial configs; missing fields use defaults."""
     config = T2VecConfig.from_dict({

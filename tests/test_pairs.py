@@ -2,82 +2,68 @@
 
 import numpy as np
 
-from repro.data import (DEFAULT_DISTORTING_RATES, DEFAULT_DROPPING_RATES,
-                        build_training_pairs, iter_training_pairs)
+from repro.data import TrainingDataPipeline, tokenize
 
 
-def test_sixteen_pairs_per_original(trips, rng):
-    originals = trips[:3]
-    pairs = build_training_pairs(originals, rng=rng)
-    assert len(pairs) == 16 * len(originals)
+def token_pairs(trips, vocab, *rates, seed=0):
+    return list(TrainingDataPipeline(trips, vocab, *rates,
+                                     seed=seed).token_pairs())
 
 
-def test_rate_grid_covered(trips, rng):
-    pairs = build_training_pairs(trips[:1], rng=rng)
-    combos = {(p.dropping_rate, p.distorting_rate) for p in pairs}
-    assert combos == {(r1, r2) for r1 in DEFAULT_DROPPING_RATES
-                      for r2 in DEFAULT_DISTORTING_RATES}
+def test_sixteen_pairs_per_original(trips, vocab):
+    assert len(token_pairs(trips[:3], vocab)) == 16 * 3
 
 
-def test_target_is_the_original(trips, rng):
-    original = trips[0]
-    pairs = build_training_pairs([original], rng=rng)
-    for pair in pairs:
-        np.testing.assert_array_equal(pair.target.points, original.points)
+def test_rate_grid_covered(trips, vocab):
+    """Pairs come in r1-major order: with r1 ∈ {0, 0.9} and r2 ∈ {0, 0.5},
+    only the last two sources lose points (distortion keeps the count)."""
+    original = max(trips, key=len)
+    pairs = token_pairs([original], vocab, (0.0, 0.9), (0.0, 0.5))
+    lengths = [len(source) for source, _ in pairs]
+    assert lengths[:2] == [len(original)] * 2
+    assert max(lengths[2:]) < len(original)
 
 
-def test_sources_are_degraded(trips, rng):
-    original = trips[0]
-    pairs = build_training_pairs([original], dropping_rates=(0.6,),
-                                 distorting_rates=(0.0,), rng=rng)
-    assert len(pairs[0].source) < len(original)
+def test_target_is_the_original(trips, vocab):
+    for index, (_, target) in enumerate(token_pairs(trips[:2], vocab)):
+        np.testing.assert_array_equal(target,
+                                      tokenize(trips[index // 16], vocab))
 
 
-def test_clean_pair_identity(trips, rng):
-    pairs = build_training_pairs(trips[:1], dropping_rates=(0.0,),
-                                 distorting_rates=(0.0,), rng=rng)
-    np.testing.assert_array_equal(pairs[0].source.points, trips[0].points)
+def test_sources_are_degraded(trips, vocab):
+    pairs = token_pairs(trips[:1], vocab, (0.6,), (0.0,))
+    assert len(pairs[0][0]) < len(trips[0])
 
 
-def test_source_endpoints_preserved(trips, rng):
-    pairs = build_training_pairs(trips[:4], rng=rng)
-    for pair in pairs:
-        if pair.distorting_rate == 0.0:  # distortion may move endpoints
-            np.testing.assert_array_equal(pair.source.start, pair.target.start)
-            np.testing.assert_array_equal(pair.source.end, pair.target.end)
+def test_clean_pair_identity(trips, vocab):
+    (source, target), = token_pairs(trips[:1], vocab, (0.0,), (0.0,))
+    np.testing.assert_array_equal(source, target)
 
 
-def test_clean_pair_source_does_not_alias_target(trips, rng):
-    """r1 = r2 = 0 leaves degrade a no-op; the pair must still hand out
-    an independent copy, or mutating the source corrupts the target."""
-    for make in (build_training_pairs,
-                 lambda *a, **kw: list(iter_training_pairs(*a, **kw))):
-        pairs = make(trips[:2], dropping_rates=(0.0,),
-                     distorting_rates=(0.0,), rng=rng)
-        for pair in pairs:
-            assert pair.source is not pair.target
-            assert pair.source.points is not pair.target.points
-            np.testing.assert_array_equal(pair.source.points,
-                                          pair.target.points)
+def test_source_endpoints_preserved(trips, vocab):
+    """Without distortion, down-sampling keeps both endpoints' cells."""
+    pairs = token_pairs(trips[:4], vocab, (0.0, 0.2, 0.4, 0.6), (0.0,))
+    for source, target in pairs:
+        assert source[0] == target[0]
+        assert source[-1] == target[-1]
 
 
-def test_defensive_copy_preserves_metadata(trips, rng):
-    pairs = build_training_pairs(trips[:1], dropping_rates=(0.0,),
-                                 distorting_rates=(0.0,), rng=rng)
-    source, target = pairs[0].source, pairs[0].target
-    assert source.traj_id == target.traj_id
-    assert source.route_id == target.route_id
-    if target.timestamps is None:
-        assert source.timestamps is None
-    else:
-        assert source.timestamps is not target.timestamps
-        np.testing.assert_array_equal(source.timestamps, target.timestamps)
+def test_clean_pair_source_does_not_alias_target(trips, vocab):
+    """r1 = r2 = 0 leaves the points untouched; mutating the source
+    tokens must still leave the reconstruction target intact."""
+    for source, target in token_pairs(trips[:2], vocab, (0.0,), (0.0,)):
+        expected = target.copy()
+        source[:] = -1
+        np.testing.assert_array_equal(target, expected)
 
 
-def test_iter_matches_build_count(trips):
-    originals = trips[:2]
-    lazy = list(iter_training_pairs(originals, rng=np.random.default_rng(0)))
-    eager = build_training_pairs(originals, rng=np.random.default_rng(0))
-    assert len(lazy) == len(eager)
-    for a, b in zip(lazy, eager):
-        np.testing.assert_array_equal(a.source.points, b.source.points)
+def test_iter_matches_build_count(trips, vocab):
+    """The lazy stream and the materialized dataset hold the same pairs."""
+    pipeline = TrainingDataPipeline(trips[:2], vocab, seed=0)
+    lazy = list(pipeline.token_pairs())
+    eager = pipeline.materialize()
+    assert len(lazy) == len(eager) == 32
+    for (source, target), eager_source, eager_target in zip(
+            lazy, eager.sources, eager.targets):
+        np.testing.assert_array_equal(source, eager_source)
+        np.testing.assert_array_equal(target, eager_target)

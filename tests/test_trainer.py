@@ -5,17 +5,16 @@ import pytest
 
 from repro.core import (EncoderDecoder, LossSpec, ModelConfig, Trainer,
                         TrainingConfig)
-from repro.data import PairDataset, build_training_pairs
+from repro.data import TrainingDataPipeline
 
 
 @pytest.fixture(scope="module")
 def datasets(vocab, trips):
-    rng = np.random.default_rng(0)
-    train_pairs = build_training_pairs(trips[:12], dropping_rates=(0.0, 0.4),
-                                       distorting_rates=(0.0,), rng=rng)
-    val_pairs = build_training_pairs(trips[12:16], dropping_rates=(0.0,),
-                                     distorting_rates=(0.0,), rng=rng)
-    return PairDataset(train_pairs, vocab), PairDataset(val_pairs, vocab)
+    train = TrainingDataPipeline(trips[:12], vocab, (0.0, 0.4), (0.0,),
+                                 seed=0).materialize()
+    val = TrainingDataPipeline(trips[12:16], vocab, (0.0,), (0.0,),
+                               seed=1).materialize()
+    return train, val
 
 
 def make_model(vocab, seed=0):
