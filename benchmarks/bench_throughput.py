@@ -1,4 +1,4 @@
-"""Throughput gate: sequence-fused RNN kernels vs. the step-wise path.
+"""Throughput gate: sequence-fused RNN kernels vs. a step-wise loop.
 
 Measures, for both ``rnn_type="gru"`` and ``"lstm"``:
 
@@ -9,10 +9,14 @@ Measures, for both ``rnn_type="gru"`` and ``"lstm"``:
 * **encode latency** — eval-mode ``model.encode`` wall time, recorded as
   a histogram so the JSON carries mean / p50 / p95.
 
-Both the fused (``model.fused = True``, the default) and the step-wise
-reference path (``model.fused = False`` — byte-for-byte the pre-fusion
-per-timestep cell loop) are timed, so the report records the speedup of
-this PR against the path the repo shipped before it.
+Two modes are timed on the same model and batch:
+
+* **fused** — ``model.encode`` / ``model.decode``: one layer-kernel call
+  per layer over the whole sequence, one tape node per layer.
+* **stepwise** — :func:`stepwise_stack`, a bench-local loop that calls
+  the same layer kernel one timestep at a time (``T = 1``).  The tape
+  then holds one node per step per layer, the shape a per-timestep cell
+  loop records, so the speedup measures what fusing the time loop buys.
 
 Timing protocol: the host is a single contended CPU, so a single wall
 clock sample can be ~2x off.  The two modes are interleaved round-robin
@@ -43,6 +47,7 @@ import numpy as np
 from repro.core.encoder_decoder import EncoderDecoder, ModelConfig
 from repro.core.losses import LossSpec, sequence_loss
 from repro.data.dataset import pad_batch
+from repro.nn import LSTM, concat, gru_layer_forward, lstm_layer_forward
 from repro.nn.optim import Adam
 from repro.spatial.vocab import BOS, EOS
 from repro.telemetry import MetricsRegistry, write_jsonl
@@ -77,6 +82,52 @@ def make_batch(rng: np.random.Generator, vocab: int, max_len: int, batch: int):
     return src, src_mask, tgt_in, tgt_out, tgt_mask
 
 
+def stepwise_stack(rnn, x_seq, h0=None, mask=None):
+    """``rnn(x_seq, h0, mask)`` computed one timestep at a time.
+
+    Each step of each layer is its own ``T = 1`` layer-kernel call, so the
+    recurrence runs in Python across tape nodes instead of inside one.
+    """
+    t_steps, batch = x_seq.shape[:2]
+    state = list(h0) if h0 is not None else rnn.initial_state(batch)
+    outputs = []
+    for t in range(t_steps):
+        step_mask = None if mask is None else mask[t:t + 1]
+        layer_input = x_seq[t:t + 1]
+        for layer, cell in enumerate(rnn.cells):
+            if layer > 0:
+                layer_input = rnn.dropout(layer_input)
+            params = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
+            if isinstance(rnn, LSTM):
+                layer_input, h, c = lstm_layer_forward(
+                    layer_input, *state[layer], *params, mask=step_mask)
+                state[layer] = (h, c)
+            else:
+                layer_input, state[layer] = gru_layer_forward(
+                    layer_input, state[layer], *params, mask=step_mask)
+        outputs.append(layer_input)
+    return concat(outputs, axis=0), state
+
+
+def encoder_decoder(model: EncoderDecoder, mode: str):
+    """``(encode, decode)`` for one mode; both return what the model's do."""
+    if mode == "fused":
+        return model.encode, model.decode
+
+    def encode(src, src_mask):
+        _, state = stepwise_stack(model.encoder, model.embedding(src),
+                                  mask=src_mask)
+        return model._top_hidden(state), state
+
+    def decode(tgt_in, state, tgt_mask):
+        out_seq, _ = stepwise_stack(model.decoder, model.embedding(tgt_in),
+                                    h0=state, mask=tgt_mask)
+        return out_seq.reshape(out_seq.shape[0] * out_seq.shape[1],
+                               model.config.hidden_size)
+
+    return encode, decode
+
+
 def build_model(profile: dict, rnn_type: str) -> EncoderDecoder:
     return EncoderDecoder(ModelConfig(
         vocab_size=profile["vocab"],
@@ -100,11 +151,13 @@ def bench_rnn_type(rnn_type: str, profile: dict,
     model = build_model(profile, rnn_type)
     optimizer = Adam(model.parameters(), lr=1e-3)
     spec = LossSpec(kind="L1")
+    paths = {mode: encoder_decoder(model, mode) for mode in MODES}
 
-    def train_step() -> None:
+    def train_step(mode: str) -> None:
+        encode, decode = paths[mode]
         optimizer.zero_grad()
-        _, state = model.encode(src, src_mask)
-        hidden = model.decode(tgt_in, state, tgt_mask)
+        _, state = encode(src, src_mask)
+        hidden = decode(tgt_in, state, tgt_mask)
         loss = sequence_loss(model, hidden, tgt_out, tgt_mask, None, spec)
         loss.backward()
         optimizer.step()
@@ -112,13 +165,11 @@ def bench_rnn_type(rnn_type: str, profile: dict,
     best_step = {mode: float("inf") for mode in MODES}
     model.train()
     for mode in MODES:                      # warm caches outside timing
-        model.fused = mode == "fused"
-        train_step()
+        train_step(mode)
     for _ in range(profile["rounds"]):
         for mode in MODES:
-            model.fused = mode == "fused"
             start = time.perf_counter()
-            train_step()
+            train_step(mode)
             elapsed = time.perf_counter() - start
             registry.histogram(f"{rnn_type}.{mode}.train.step_s").observe(elapsed)
             registry.counter(f"{rnn_type}.{mode}.train.tokens").inc(tokens)
@@ -128,13 +179,11 @@ def bench_rnn_type(rnn_type: str, profile: dict,
     model.eval()
     encode_hists = {}
     for mode in MODES:
-        model.fused = mode == "fused"
-        model.encode(src, src_mask)         # warmup
+        paths[mode][0](src, src_mask)       # warmup
     for _ in range(profile["encode_rounds"]):
         for mode in MODES:
-            model.fused = mode == "fused"
             start = time.perf_counter()
-            model.encode(src, src_mask)
+            paths[mode][0](src, src_mask)
             elapsed = time.perf_counter() - start
             hist = registry.histogram(f"{rnn_type}.{mode}.encode.latency_s")
             hist.observe(elapsed)

@@ -33,9 +33,7 @@ class _NextCellModel(Module):
         self.proj = Linear(hidden_size, vocab_size, rng=rng)
 
     def forward(self, tokens: np.ndarray, mask: np.ndarray):
-        steps = [self.embedding(tokens[t]) for t in range(tokens.shape[0])]
-        outputs, state = self.rnn(steps, mask=mask)
-        return outputs, state
+        return self.rnn(self.embedding(tokens), mask=mask)
 
 
 class VanillaRNNEmbedding(TrajectoryDistance):
@@ -81,16 +79,15 @@ class VanillaRNNEmbedding(TrajectoryDistance):
               optimizer: Adam, clip_norm: float) -> float:
         inputs, targets = batch[:-1], batch[1:]
         target_mask = mask[1:]
-        outputs, _ = self.model(inputs, mask[:-1])
-        total, count = None, 0
-        for t, hidden in enumerate(outputs):
-            if target_mask[t].sum() == 0:
-                continue
-            logits = self.model.proj(hidden)
-            step_loss = nll_loss(logits, targets[t], target_mask[t])
-            total = step_loss if total is None else total + step_loss
-            count += 1
-        loss = total / count
+        out_seq, _ = self.model(inputs, mask[:-1])
+        t_steps, n_seqs = targets.shape
+        logits = self.model.proj(out_seq.reshape(t_steps * n_seqs, -1))
+        # The mean over steps of each step's masked mean: weighting every
+        # real target by 1 / (real targets in its step) makes one masked
+        # mean over all positions equal to it.
+        per_step = target_mask.sum(axis=1, keepdims=True)
+        weights = target_mask / np.maximum(per_step, 1.0)
+        loss = nll_loss(logits, targets.reshape(-1), weights.reshape(-1))
         optimizer.zero_grad()
         loss.backward()
         clip_grad_norm(self.model.parameters(), clip_norm)

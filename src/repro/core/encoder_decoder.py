@@ -15,12 +15,17 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..nn import GRU, Embedding, Module, Parameter, Tensor, init, stack
+from ..nn import GRU, Embedding, Module, Parameter, Tensor, init
 from ..nn.functional import log_softmax
 from ..nn.lstm import LSTM
 from ..spatial.vocab import BOS, EOS
 
 RNN_TYPES = ("gru", "lstm")
+
+
+def _check_max_len(max_len: int) -> None:
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
 
 
 @dataclass(frozen=True)
@@ -44,19 +49,17 @@ class ModelConfig:
 class EncoderDecoder(Module):
     """Recurrent encoder-decoder with a shared cell embedding table.
 
-    Whole-sequence encoding/decoding runs through the sequence-fused RNN
-    kernels (one embedding gather and one tape node per layer per batch;
-    see :func:`~repro.nn.rnn.gru_layer_forward`).  Setting ``fused=False``
-    falls back to the step-wise reference cells — used by the parity tests
-    and the throughput benchmark; single-step generation (greedy/beam)
-    always uses the step-wise cells.
+    Encoding, teacher-forced decoding and generation all run through the
+    sequence-fused RNN kernels (one embedding gather and one tape node per
+    layer per call; see :func:`~repro.nn.rnn.gru_layer_forward`).  Greedy
+    and beam search feed ``(1, batch)`` token blocks, so each generated
+    token is one ``T = 1`` kernel call per layer.
     """
 
     def __init__(self, config: ModelConfig):
         super().__init__()
         rng = np.random.default_rng(config.seed)
         self.config = config
-        self.fused = True
         self.embedding = Embedding(config.vocab_size, config.embedding_size, rng=rng)
         rnn_cls = GRU if config.rnn_type == "gru" else LSTM
         self.encoder = rnn_cls(config.embedding_size, config.hidden_size,
@@ -81,13 +84,8 @@ class EncoderDecoder(Module):
         representation (top-layer final hidden state) and ``state`` is the
         per-layer final state used to initialize the decoder.
         """
-        if self.fused:
-            # One (T, B) embedding gather + one fused kernel per layer.
-            _, state = self.encoder.forward_sequence(self.embedding(src),
-                                                     mask=src_mask)
-        else:
-            steps = [self.embedding(src[t]) for t in range(src.shape[0])]
-            _, state = self.encoder(steps, mask=src_mask)
+        # One (T, B) embedding gather + one fused kernel per layer.
+        _, state = self.encoder(self.embedding(src), mask=src_mask)
         return self._top_hidden(state), state
 
     def _top_hidden(self, state) -> Tensor:
@@ -117,16 +115,11 @@ class EncoderDecoder(Module):
         a single loss evaluation over every step.
         """
         t_steps, batch = tgt_in.shape
-        if self.fused:
-            out_seq, _ = self.decoder.forward_sequence(self.embedding(tgt_in),
-                                                       h0=state, mask=tgt_mask)
-            # The fused output is already time-major (T, B, H); flattening
-            # is a reshape view, no intermediate stack node.
-            return out_seq.reshape(t_steps * batch, self.config.hidden_size)
-        steps = [self.embedding(tgt_in[t]) for t in range(t_steps)]
-        outputs, _ = self.decoder(steps, h0=state, mask=tgt_mask)
-        return stack(outputs, axis=0).reshape(t_steps * batch,
-                                              self.config.hidden_size)
+        out_seq, _ = self.decoder(self.embedding(tgt_in), h0=state,
+                                  mask=tgt_mask)
+        # The output is already time-major (T, B, H); flattening is a
+        # reshape view, no intermediate stack node.
+        return out_seq.reshape(t_steps * batch, self.config.hidden_size)
 
     def logits(self, hidden: Tensor) -> Tensor:
         """Full-vocabulary scores ``hidden @ W^T + b`` (for L1/L2)."""
@@ -147,7 +140,8 @@ class EncoderDecoder(Module):
         length-normalized), one array of tokens per batch column.
         """
         if beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
+            raise ValueError(f"beam_width must be >= 1, got {beam_width}")
+        _check_max_len(max_len)
         was_training = self.training
         self.eval()
         try:
@@ -181,12 +175,16 @@ class EncoderDecoder(Module):
             expansions = []
             for score, tokens, beam_state in beams:
                 previous = tokens[-1] if tokens else BOS
-                step = self.embedding(np.array([previous]))
-                _, new_state = self.decoder([step], h0=beam_state)
+                step = self.embedding(np.array([[previous]]))
+                _, new_state = self.decoder(step, h0=beam_state)
                 log_probs = log_softmax(
                     self.logits(self._top_hidden(new_state)), axis=1).numpy()[0]
                 log_probs[BOS] = -np.inf
-                top = np.argpartition(-log_probs, beam_width)[:beam_width + 1]
+                if beam_width + 1 >= len(log_probs):
+                    top = np.arange(len(log_probs))
+                else:
+                    top = np.argpartition(-log_probs,
+                                          beam_width)[:beam_width + 1]
                 for token in top:
                     expansions.append((score + float(log_probs[token]),
                                        tokens + [int(token)], new_state))
@@ -218,6 +216,7 @@ class EncoderDecoder(Module):
         This realizes the paper's motivation: the decoder recovers the
         (dense) route from a degraded trajectory.
         """
+        _check_max_len(max_len)
         was_training = self.training
         self.eval()
         try:
@@ -228,8 +227,8 @@ class EncoderDecoder(Module):
             emitted: List[np.ndarray] = []   # (batch,) tokens per step
             kept: List[np.ndarray] = []      # (batch,) bools: token counts
             for _ in range(max_len):
-                step = self.embedding(tokens)
-                _, state = self.decoder([step], h0=state)
+                step = self.embedding(tokens[None, :])
+                _, state = self.decoder(step, h0=state)
                 scores = self.logits(self._top_hidden(state)).numpy()
                 scores[:, BOS] = -np.inf  # never re-emit the start token
                 tokens = scores.argmax(axis=1)

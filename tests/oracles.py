@@ -1,8 +1,10 @@
 """Reference implementations that the fast paths in ``src/`` are tested against.
 
-Each oracle is the plainest correct form of its fast path: the loss is
-built from the generic autograd ops so that its gradients come from the
-tape, and the training pairs come one at a time from the public
+Each oracle is the plainest correct form of its fast path: the loss and
+the step-wise GRU/LSTM are built from the generic autograd ops so that
+their gradients come from the tape, the decoders run one batch column
+and one token at a time, the k-NN and LSH references are per-query
+numpy scans, and the training pairs come one at a time from the public
 ``degrade`` and ``tokenize``.  Differential tests compare the fast path
 with these.
 """
@@ -14,9 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data import Trajectory, degrade, pair_rng, tokenize
-from repro.nn import Tensor
+from repro.nn import LSTM, Tensor, stack, where_const
 from repro.nn.functional import logsumexp
-from repro.spatial import CellVocabulary
+from repro.spatial import BOS, EOS, CellVocabulary
 
 
 def reference_token_pairs(
@@ -86,3 +88,206 @@ def sampled_weighted_loss(
         return per_example.mean()
     mask = np.asarray(mask, dtype=float)
     return (per_example * Tensor(mask)).sum() / float(mask.sum())
+
+
+# ---------------------------------------------------------------------------
+# Step-wise recurrent networks
+# ---------------------------------------------------------------------------
+
+def gru_step(x: Tensor, h: Tensor, w_ih: Tensor, w_hh: Tensor,
+             b_ih: Tensor, b_hh: Tensor) -> Tensor:
+    """One GRU step, gate by gate (columns ``[reset | update | new]``)."""
+    hidden = h.shape[1]
+    gi = x @ w_ih + b_ih
+    gh = h @ w_hh + b_hh
+    reset = (gi[:, :hidden] + gh[:, :hidden]).sigmoid()
+    update = (gi[:, hidden:2 * hidden] + gh[:, hidden:2 * hidden]).sigmoid()
+    candidate = (gi[:, 2 * hidden:] + reset * gh[:, 2 * hidden:]).tanh()
+    return (1.0 - update) * candidate + update * h
+
+
+def lstm_step(x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor,
+              b_ih: Tensor, b_hh: Tensor) -> Tuple[Tensor, Tensor]:
+    """One LSTM step, gate by gate (columns ``[i | f | g | o]``)."""
+    hidden = h.shape[1]
+    gates = x @ w_ih + b_ih + h @ w_hh + b_hh
+    i_gate = gates[:, :hidden].sigmoid()
+    f_gate = gates[:, hidden:2 * hidden].sigmoid()
+    g_gate = gates[:, 2 * hidden:3 * hidden].tanh()
+    o_gate = gates[:, 3 * hidden:].sigmoid()
+    new_c = f_gate * c + i_gate * g_gate
+    return o_gate * new_c.tanh(), new_c
+
+
+def _carry(mask: Optional[np.ndarray], t: int, new: Tensor, old: Tensor) -> Tensor:
+    """Keep ``old`` in the batch columns that step ``t`` pads."""
+    if mask is None:
+        return new
+    real = np.asarray(mask[t], dtype=bool).reshape(-1, 1)
+    return new if real.all() else where_const(real, new, old)
+
+
+def _zeros_like_state(x_seq: Tensor, hidden: int) -> Tensor:
+    return Tensor(np.zeros((x_seq.shape[1], hidden), dtype=x_seq.data.dtype))
+
+
+def gru_layer(x_seq: Tensor, h0: Optional[Tensor], w_ih: Tensor, w_hh: Tensor,
+              b_ih: Tensor, b_hh: Tensor, mask: Optional[np.ndarray] = None
+              ) -> Tuple[Tensor, Tensor]:
+    """One GRU layer over ``(T, B, in)``, one step at a time: ``(out_seq, h_last)``."""
+    h = h0 if h0 is not None else _zeros_like_state(x_seq, w_hh.shape[0])
+    outputs = []
+    for t in range(x_seq.shape[0]):
+        h = _carry(mask, t, gru_step(x_seq[t], h, w_ih, w_hh, b_ih, b_hh), h)
+        outputs.append(h)
+    return stack(outputs, axis=0), h
+
+
+def lstm_layer(x_seq: Tensor, h0: Optional[Tensor], c0: Optional[Tensor],
+               w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Tensor,
+               mask: Optional[np.ndarray] = None
+               ) -> Tuple[Tensor, Tensor, Tensor]:
+    """One LSTM layer over ``(T, B, in)``, one step at a time: ``(out_seq, h_last, c_last)``."""
+    hidden = w_hh.shape[0]
+    h = h0 if h0 is not None else _zeros_like_state(x_seq, hidden)
+    c = c0 if c0 is not None else _zeros_like_state(x_seq, hidden)
+    outputs = []
+    for t in range(x_seq.shape[0]):
+        new_h, new_c = lstm_step(x_seq[t], h, c, w_ih, w_hh, b_ih, b_hh)
+        h, c = _carry(mask, t, new_h, h), _carry(mask, t, new_c, c)
+        outputs.append(h)
+    return stack(outputs, axis=0), h, c
+
+
+def rnn_stack(rnn, x_seq: Tensor, h0: Optional[list] = None,
+              mask: Optional[np.ndarray] = None) -> Tuple[Tensor, list]:
+    """A ``GRU`` or ``LSTM`` module's forward, layer by layer and step by step.
+
+    Uses the module's weights and returns ``(out_seq, state)`` like the
+    module does.  Dropout is not applied: compare in eval mode or with
+    ``dropout=0``.
+    """
+    state = []
+    layer_input = x_seq
+    for layer, cell in enumerate(rnn.cells):
+        params = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
+        if isinstance(rnn, LSTM):
+            h, c = h0[layer] if h0 is not None else (None, None)
+            layer_input, h, c = lstm_layer(layer_input, h, c, *params, mask=mask)
+            state.append((h, c))
+        else:
+            h = h0[layer] if h0 is not None else None
+            layer_input, h = gru_layer(layer_input, h, *params, mask=mask)
+            state.append(h)
+    return layer_input, state
+
+
+# ---------------------------------------------------------------------------
+# Decoding, one batch column and one token at a time
+# ---------------------------------------------------------------------------
+
+def _top(state) -> np.ndarray:
+    top = state[-1]
+    return (top[0] if isinstance(top, tuple) else top).numpy()[0]
+
+
+def _column_state(model, src: np.ndarray, src_mask: np.ndarray, column: int):
+    """Encoder state of one batch column, trimmed to its real length."""
+    length = int(np.asarray(src_mask[:, column]).sum())
+    tokens = src[:length, column:column + 1]
+    _, state = rnn_stack(model.encoder, model.embedding(tokens))
+    return state
+
+
+def _next_log_probs(model, token: int, state):
+    """Decoder step from ``token``: ``(log-probabilities over cells, state)``."""
+    _, state = rnn_stack(model.decoder, model.embedding(np.array([[token]])),
+                         h0=state)
+    scores = (model.proj_weight.numpy() @ _top(state)
+              + model.proj_bias.numpy())
+    shifted = scores - scores.max()
+    log_probs = shifted - np.log(np.exp(shifted).sum())
+    log_probs[BOS] = -np.inf
+    return log_probs, state
+
+
+def greedy_decode(model, src: np.ndarray, src_mask: np.ndarray,
+                  max_len: int) -> List[np.ndarray]:
+    """Greedy route recovery: the most likely next cell until EOS or ``max_len``."""
+    results = []
+    for column in range(src.shape[1]):
+        state = _column_state(model, src, src_mask, column)
+        tokens, token = [], BOS
+        for _ in range(max_len):
+            log_probs, state = _next_log_probs(model, token, state)
+            token = int(np.argmax(log_probs))
+            if token == EOS:
+                break
+            tokens.append(token)
+        results.append(np.array(tokens, dtype=np.int64))
+    return results
+
+
+def beam_decode(model, src: np.ndarray, src_mask: np.ndarray,
+                beam_width: int, max_len: int) -> List[np.ndarray]:
+    """Beam search that expands every cell of every beam at every step.
+
+    Of all expansions, best first, an EOS one finishes its route (scored
+    by log-probability per token) and the others fill the next beams
+    until ``beam_width`` are kept.  The best finished route wins; when
+    none finished within ``max_len``, the best live beam does.
+    """
+    results = []
+    for column in range(src.shape[1]):
+        beams = [(0.0, [], _column_state(model, src, src_mask, column))]
+        finished = []
+        for _ in range(max_len):
+            expansions = []
+            for score, tokens, state in beams:
+                log_probs, new_state = _next_log_probs(
+                    model, tokens[-1] if tokens else BOS, state)
+                for token, log_prob in enumerate(log_probs):
+                    expansions.append((score + float(log_prob),
+                                       tokens + [token], new_state))
+            expansions.sort(key=lambda item: -item[0])
+            beams = []
+            for score, tokens, state in expansions:
+                if len(beams) == beam_width:
+                    break
+                if tokens[-1] == EOS:
+                    finished.append((score / len(tokens), tokens[:-1]))
+                else:
+                    beams.append((score, tokens, state))
+        if not finished:
+            finished = [(score / max(len(tokens), 1), tokens)
+                        for score, tokens, _ in beams]
+        best = max(finished, key=lambda item: item[0])
+        results.append(np.array(best[1], dtype=np.int64))
+    return results
+
+
+# ---------------------------------------------------------------------------
+# Vector search
+# ---------------------------------------------------------------------------
+
+def knn_scan(vectors: np.ndarray, query: np.ndarray, k: int
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Brute-force k-NN of one query: ``(indices, distances)`` by (distance, index)."""
+    dists = np.sqrt(((vectors - np.asarray(query).reshape(1, -1)) ** 2).sum(axis=1))
+    order = np.lexsort((np.arange(len(dists)), dists))[:k]
+    return order, dists[order]
+
+
+def lsh_signatures(lsh, vectors: np.ndarray, table: int) -> np.ndarray:
+    """Signatures of ``(n, d)`` vectors in one LSH table, one row at a time.
+
+    Bit ``b`` of a row's signature is set when the row lies on the
+    positive side of the table's hyperplane ``b``.
+    """
+    planes = lsh._planes[table]
+    signatures = np.zeros(len(vectors), dtype=np.int64)
+    for row, vector in enumerate(vectors):
+        for bit, plane in enumerate(planes):
+            if float(vector @ plane) > 0:
+                signatures[row] |= 1 << bit
+    return signatures

@@ -55,8 +55,7 @@ def test_training_step_in_float32_is_finite():
     params = emb.parameters() + gru.parameters() + proj.parameters()
     opt = Adam(params, lr=1e-3)
     for _ in range(3):
-        steps = [emb(rng.integers(0, 10, size=4)) for _ in range(5)]
-        outs, _ = gru(steps)
+        outs, _ = gru(emb(rng.integers(0, 10, size=(5, 4))))
         loss = (proj(outs[-1]) ** 2).mean()
         opt.zero_grad()
         loss.backward()

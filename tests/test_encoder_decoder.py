@@ -122,3 +122,57 @@ def test_beam_decode_works_with_lstm(vocab):
     mask = np.ones((2, 2))
     decoded = lstm_model.beam_decode(src, mask, beam_width=2, max_len=8)
     assert len(decoded) == 2
+
+
+@pytest.fixture(scope="module")
+def tiny_vocab_model():
+    """A 12-cell vocabulary: beam widths can reach and pass |V|."""
+    return EncoderDecoder(ModelConfig(vocab_size=12, embedding_size=8,
+                                      hidden_size=8, num_layers=2,
+                                      dropout=0.0, seed=4))
+
+
+def test_beam_width_at_or_above_vocabulary_size(tiny_vocab_model):
+    model = tiny_vocab_model
+    src = np.array([[5, 6, 9], [7, 8, 0], [4, 0, 0]])
+    mask = (np.arange(3)[:, None] < np.array([3, 2, 1])).astype(float)
+    size = model.config.vocab_size
+    reference = model.beam_decode(src, mask, beam_width=size - 1, max_len=10)
+    for width in (size, size + 5):
+        decoded = model.beam_decode(src, mask, beam_width=width, max_len=10)
+        assert len(decoded) == src.shape[1]
+        for tokens, want in zip(decoded, reference):
+            assert not np.isin(tokens, [BOS, EOS]).any()
+            np.testing.assert_array_equal(tokens, want)
+
+
+@pytest.mark.parametrize("max_len", [0, -3])
+def test_greedy_decode_rejects_max_len_below_one(model, batch, max_len):
+    with pytest.raises(ValueError, match=f"max_len must be >= 1, got {max_len}"):
+        model.greedy_decode(batch.src, batch.src_mask, max_len=max_len)
+
+
+@pytest.mark.parametrize("max_len", [0, -3])
+def test_beam_decode_rejects_max_len_below_one(model, batch, max_len):
+    with pytest.raises(ValueError, match=f"max_len must be >= 1, got {max_len}"):
+        model.beam_decode(batch.src, batch.src_mask, beam_width=2,
+                          max_len=max_len)
+
+
+@pytest.mark.parametrize("rnn_type, gates", [("gru", 3), ("lstm", 4)])
+def test_state_dict_layout_is_stable(rnn_type, gates):
+    """Checkpoints address each layer's weights as ``<rnn>.cells.<i>.<name>``."""
+    model = EncoderDecoder(ModelConfig(vocab_size=20, embedding_size=5,
+                                       hidden_size=6, num_layers=2,
+                                       rnn_type=rnn_type))
+    expected = {"embedding.weight": (20, 5), "proj_weight": (20, 6),
+                "proj_bias": (20,)}
+    for rnn in ("encoder", "decoder"):
+        for layer, in_size in enumerate((5, 6)):
+            prefix = f"{rnn}.cells.{layer}."
+            expected[prefix + "w_ih"] = (in_size, gates * 6)
+            expected[prefix + "w_hh"] = (6, gates * 6)
+            expected[prefix + "b_ih"] = (gates * 6,)
+            expected[prefix + "b_hh"] = (gates * 6,)
+    state = model.state_dict()
+    assert {key: value.shape for key, value in state.items()} == expected

@@ -1,21 +1,23 @@
-"""Sequence-fused RNN kernels: parity with step-wise cells, BPTT gradients.
+"""Sequence-fused RNN kernels: parity with step-wise oracles, BPTT gradients.
 
 The fused kernels (:func:`gru_layer_forward`, :func:`lstm_layer_forward`)
 hand-derive backward-through-time instead of relying on the tape, so these
-tests pin them twice over: exact forward/backward parity against the
-step-wise reference cells, and central-difference numeric gradients for
-every input and parameter.
+tests pin them twice over: forward/backward parity against the step-wise
+GRU/LSTM of ``tests/oracles.py`` — built from autograd primitives, so its
+gradients come from the tape — and central-difference numeric gradients
+for every input and parameter.  The decoders are pinned to per-column,
+token-at-a-time decodes through the same oracle.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.encoder_decoder import EncoderDecoder, ModelConfig
-from repro.nn import GRU, Tensor
+from repro.nn import GRU, LSTM, Tensor
 from repro.nn.lstm import lstm_layer_forward
 from repro.nn.rnn import gru_layer_forward
-from repro.spatial.vocab import BOS, EOS
 
+from . import oracles
 from .test_tensor import check_gradients
 
 T_STEPS, BATCH, IN_SIZE, HIDDEN = 5, 3, 4, 6
@@ -36,7 +38,7 @@ def _params(rng, in_size=IN_SIZE, hidden=HIDDEN, gates=3):
 
 
 # ---------------------------------------------------------------------------
-# Fused layer kernels vs. step-wise cells
+# Fused layer kernels vs. the step-wise autograd oracle
 # ---------------------------------------------------------------------------
 
 @pytest.mark.usefixtures("float64_tensors")
@@ -56,18 +58,7 @@ def test_gru_fused_matches_stepwise_forward_and_backward(mask, with_h0):
             out_seq, h_last = gru_layer_forward(xs, hs, *params, mask=mask)
             out = out_seq
         else:
-            from repro.nn.rnn import gru_cell_forward
-            h = hs if hs is not None else Tensor(np.zeros((BATCH, HIDDEN)))
-            steps = []
-            for t in range(T_STEPS):
-                new_h = gru_cell_forward(xs[t], h, *params)
-                if mask is not None:
-                    m = Tensor(mask[t][:, None])
-                    new_h = h + m * (new_h - h)
-                h = new_h
-                steps.append(h)
-            from repro.nn import stack
-            out, h_last = stack(steps, axis=0), h
+            out, h_last = oracles.gru_layer(xs, hs, *params, mask=mask)
         ((out * out).sum() + (h_last * h_last).sum()).backward()
         grads = [p.grad for p in params] + [xs.grad]
         if hs is not None:
@@ -100,19 +91,8 @@ def test_lstm_fused_matches_stepwise_forward_and_backward(mask):
             out, h_last, c_last = lstm_layer_forward(xs, hs, cs, *params,
                                                      mask=mask)
         else:
-            from repro.nn import stack
-            from repro.nn.lstm import lstm_cell_forward
-            h, c = hs, cs
-            steps = []
-            for t in range(T_STEPS):
-                new_h, new_c = lstm_cell_forward(xs[t], h, c, *params)
-                if mask is not None:
-                    m = Tensor(mask[t][:, None])
-                    new_h = h + m * (new_h - h)
-                    new_c = c + m * (new_c - c)
-                h, c = new_h, new_c
-                steps.append(h)
-            out, h_last, c_last = stack(steps, axis=0), h, c
+            out, h_last, c_last = oracles.lstm_layer(xs, hs, cs, *params,
+                                                     mask=mask)
         ((out * out).sum() + (h_last * h_last).sum()
          + (c_last * c_last).sum()).backward()
         grads = [p.grad for p in params] + [xs.grad, hs.grad, cs.grad]
@@ -181,7 +161,7 @@ def test_lstm_c_last_only_gradient():
 
 @pytest.mark.usefixtures("float64_tensors")
 def test_fused_stack_gradients_with_dropout():
-    """Multi-layer forward_sequence (dropout active) against numeric grads.
+    """Multi-layer GRU.forward (dropout active) against numeric grads.
 
     Rebuilding the module with a fixed seed inside ``build`` makes the
     dropout masks identical across numeric-gradient evaluations.
@@ -193,7 +173,7 @@ def test_fused_stack_gradients_with_dropout():
         gru = GRU(3, 4, num_layers=2, dropout=0.3,
                   rng=np.random.default_rng(0))
         gru.dropout._rng = np.random.default_rng(99)
-        out_seq, state = gru.forward_sequence(xs)
+        out_seq, state = gru(xs)
         return (out_seq * out_seq).sum() + (state[-1] * state[-1]).sum()
 
     check_gradients(build, x, tol=1e-6)
@@ -220,7 +200,86 @@ def test_fused_embedding_gather_accumulates_repeated_tokens():
 
 
 # ---------------------------------------------------------------------------
-# EncoderDecoder: fused path vs. step-wise path, vectorized greedy decode
+# Whole stacks vs. the oracle: forward and every gradient
+# ---------------------------------------------------------------------------
+
+def _ragged_mask(t_steps):
+    """Ragged lengths; at T = 1 the middle column is all padding."""
+    if t_steps == 1:
+        return np.array([[1.0, 0.0, 1.0]])
+    return MASK[:t_steps]
+
+
+def _stack_case(rnn_cls, num_layers, t_steps, with_h0, seed):
+    rnn = rnn_cls(IN_SIZE, HIDDEN, num_layers=num_layers,
+                  rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for p in rnn.parameters():   # move biases off their zero/one init
+        p.data += 0.1 * rng.standard_normal(p.shape)
+    x = rng.standard_normal((t_steps, BATCH, IN_SIZE))
+    parts = 2 if rnn_cls is LSTM else 1
+    h0 = ([rng.standard_normal((parts, BATCH, HIDDEN))
+           for _ in range(num_layers)] if with_h0 else None)
+    # Random readout weights make every output element's gradient distinct.
+    readout = rng.standard_normal((t_steps, BATCH, HIDDEN))
+    final = rng.standard_normal((num_layers, parts, BATCH, HIDDEN))
+    return rnn, x, h0, readout, final
+
+
+def _run_stack(rnn, x, h0, mask, readout, final, forward):
+    for p in rnn.parameters():
+        p.grad = None
+    xs = Tensor(x.copy(), requires_grad=True)
+    initial = None
+    leaves = [xs]
+    if h0 is not None:
+        initial = []
+        for layer in h0:
+            tensors = [Tensor(part.copy(), requires_grad=True) for part in layer]
+            leaves.extend(tensors)
+            initial.append(tuple(tensors) if len(tensors) == 2 else tensors[0])
+    out, state = forward(xs, initial, mask)
+    loss = (out * Tensor(readout)).sum()
+    for layer, layer_state in enumerate(state):
+        parts = layer_state if isinstance(layer_state, tuple) else (layer_state,)
+        for p, part in enumerate(parts):
+            loss = loss + (part * Tensor(final[layer, p])).sum()
+    loss.backward()
+    finals = [part.numpy().copy() for layer_state in state
+              for part in (layer_state if isinstance(layer_state, tuple)
+                           else (layer_state,))]
+    grads = [leaf.grad for leaf in leaves] + [p.grad for p in rnn.parameters()]
+    return out.numpy().copy(), finals, grads
+
+
+@pytest.mark.usefixtures("float64_tensors")
+@pytest.mark.parametrize("rnn_cls", [GRU, LSTM], ids=["gru", "lstm"])
+@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("t_steps", [1, T_STEPS], ids=["T1", "T5"])
+@pytest.mark.parametrize("with_h0", [False, True], ids=["zero-h0", "h0"])
+@pytest.mark.parametrize("ragged", [False, True], ids=["dense", "ragged"])
+def test_stack_matches_stepwise_oracle(rnn_cls, num_layers, t_steps, with_h0,
+                                       ragged):
+    """GRU/LSTM.forward == the autograd-chain oracle: outputs, finals, grads."""
+    rnn, x, h0, readout, final = _stack_case(rnn_cls, num_layers, t_steps,
+                                             with_h0, seed=41 + num_layers)
+    mask = _ragged_mask(t_steps) if ragged else None
+
+    got = _run_stack(rnn, x, h0, mask, readout, final,
+                     lambda xs, h, m: rnn(xs, h0=h, mask=m))
+    want = _run_stack(rnn, x, h0, mask, readout, final,
+                      lambda xs, h, m: oracles.rnn_stack(rnn, xs, h0=h, mask=m))
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-10, atol=1e-12)
+    for g, w in zip(got[1], want[1]):
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-12)
+    assert len(got[2]) == len(want[2])
+    for g, w in zip(got[2], want[2]):
+        assert g is not None and w is not None
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# EncoderDecoder vs. the oracle: encode/decode, greedy and beam decoding
 # ---------------------------------------------------------------------------
 
 def _toy_model(rnn_type, vocab=12):
@@ -243,18 +302,22 @@ def _toy_batch(rng, vocab=12, t_steps=6, batch=3):
 @pytest.mark.parametrize("rnn_type", ["gru", "lstm"])
 def test_encoder_decoder_fused_matches_stepwise(rnn_type):
     model = _toy_model(rnn_type)
-    model.eval()  # dropout draws differ between paths; parity is eval-mode
+    model.eval()  # the oracle applies no dropout
     rng = np.random.default_rng(23)
     src, src_mask = _toy_batch(rng)
 
-    outputs = {}
-    for fused in (True, False):
-        model.fused = fused
-        v, state = model.encode(src, src_mask)
-        hidden = model.decode(src, state, src_mask)
-        outputs[fused] = (v.numpy().copy(), hidden.numpy().copy())
-    np.testing.assert_allclose(outputs[True][0], outputs[False][0], atol=1e-12)
-    np.testing.assert_allclose(outputs[True][1], outputs[False][1], atol=1e-12)
+    v, state = model.encode(src, src_mask)
+    hidden = model.decode(src, state, src_mask)
+
+    _, ref_state = oracles.rnn_stack(model.encoder, model.embedding(src),
+                                     mask=src_mask)
+    ref_out, _ = oracles.rnn_stack(model.decoder, model.embedding(src),
+                                   h0=ref_state, mask=src_mask)
+    np.testing.assert_allclose(v.numpy(), model._top_hidden(ref_state).numpy(),
+                               atol=1e-12)
+    np.testing.assert_allclose(hidden.numpy(),
+                               ref_out.numpy().reshape(hidden.shape),
+                               atol=1e-12)
 
 
 @pytest.mark.usefixtures("float64_tensors")
@@ -266,26 +329,26 @@ def test_vectorized_greedy_decode_matches_per_column_loop(rnn_type):
 
     got = model.greedy_decode(src, src_mask, max_len=8)
 
-    # Reference: decode one batch column at a time with the step-wise
-    # cells and an explicit Python loop (the pre-vectorization algorithm).
     model.eval()
-    model.fused = False
-    expected = []
-    _, state = model.encode(src, src_mask)
-    for b in range(src.shape[1]):
-        column = model._select_column(state, b)
-        tokens, token = [], BOS
-        for _ in range(8):
-            step = model.embedding(np.array([token]))
-            _, column = model.decoder([step], h0=column)
-            scores = model.logits(model._top_hidden(column)).numpy()[0]
-            scores[BOS] = -np.inf
-            token = int(scores.argmax())
-            if token == EOS:
-                break
-            tokens.append(token)
-        expected.append(np.array(tokens, dtype=np.int64))
+    expected = oracles.greedy_decode(model, src, src_mask, max_len=8)
+    assert len(got) == len(expected)
+    for got_seq, want_seq in zip(got, expected):
+        np.testing.assert_array_equal(got_seq, want_seq)
 
+
+@pytest.mark.usefixtures("float64_tensors")
+@pytest.mark.parametrize("beam_width", [1, 3, 11, 12])
+@pytest.mark.parametrize("rnn_type", ["gru", "lstm"])
+def test_beam_decode_matches_per_column_oracle(rnn_type, beam_width):
+    """Top-(width+1) pruning per beam finds what full expansion finds."""
+    model = _toy_model(rnn_type)
+    rng = np.random.default_rng(37)
+    src, src_mask = _toy_batch(rng)
+
+    got = model.beam_decode(src, src_mask, beam_width=beam_width, max_len=6)
+
+    model.eval()
+    expected = oracles.beam_decode(model, src, src_mask, beam_width, max_len=6)
     assert len(got) == len(expected)
     for got_seq, want_seq in zip(got, expected):
         np.testing.assert_array_equal(got_seq, want_seq)

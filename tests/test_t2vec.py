@@ -187,6 +187,13 @@ def test_reconstruct_route_beam_search(fitted, trips):
     assert route.ndim == 2 and route.shape[1] == 2
 
 
+@pytest.mark.parametrize("beam_width", [1, 3])
+def test_reconstruct_route_rejects_max_len_zero(fitted, trips, beam_width):
+    model, _ = fitted
+    with pytest.raises(ValueError, match="max_len must be >= 1, got 0"):
+        model.reconstruct_route(trips[0], max_len=0, beam_width=beam_width)
+
+
 # ----------------------------------------------------------------------
 # Encoding cache: LRU bound + telemetry
 # ----------------------------------------------------------------------
