@@ -13,15 +13,19 @@ Two modes are timed on the same model and batch:
 
 * **fused** — ``model.encode`` / ``model.decode``: one layer-kernel call
   per layer over the whole sequence, one tape node per layer.
-* **stepwise** — :func:`stepwise_stack`, a bench-local loop that calls
-  the same layer kernel one timestep at a time (``T = 1``).  The tape
-  then holds one node per step per layer, the shape a per-timestep cell
-  loop records, so the speedup measures what fusing the time loop buys.
+* **stepwise** — :func:`stepwise_stack`, a bench-local loop that runs
+  the same stack one timestep at a time (``T = 1``).  The tape then holds
+  one node per step per layer, the shape a per-timestep cell loop
+  records, so the speedup measures what fusing the time loop buys.
 
 Timing protocol: the host is a single contended CPU, so a single wall
 clock sample can be ~2x off.  The two modes are interleaved round-robin
 and each mode keeps its *minimum* step time — the minimum converges to
 the uncontended cost and both modes see the same interference pattern.
+Next to each min-based speedup the report gives the 25th and 75th
+percentiles of the per-round stepwise/fused time ratio
+(``*_speedup_iqr``): quartiles that do not overlap the previous
+report's show a change, overlapping ones may be host noise.
 
 Run standalone (writes ``BENCH_throughput.json`` at the repo root)::
 
@@ -47,7 +51,7 @@ import numpy as np
 from repro.core.encoder_decoder import EncoderDecoder, ModelConfig
 from repro.core.losses import LossSpec, sequence_loss
 from repro.data.dataset import pad_batch
-from repro.nn import LSTM, concat, gru_layer_forward, lstm_layer_forward
+from repro.nn import concat
 from repro.nn.optim import Adam
 from repro.spatial.vocab import BOS, EOS
 from repro.telemetry import MetricsRegistry, write_jsonl
@@ -85,27 +89,16 @@ def make_batch(rng: np.random.Generator, vocab: int, max_len: int, batch: int):
 def stepwise_stack(rnn, x_seq, h0=None, mask=None):
     """``rnn(x_seq, h0, mask)`` computed one timestep at a time.
 
-    Each step of each layer is its own ``T = 1`` layer-kernel call, so the
-    recurrence runs in Python across tape nodes instead of inside one.
+    Each step runs the whole stack over a ``T = 1`` slice, so every layer
+    kernel call covers one step and the recurrence runs in Python across
+    tape nodes instead of inside one.
     """
-    t_steps, batch = x_seq.shape[:2]
-    state = list(h0) if h0 is not None else rnn.initial_state(batch)
+    state = h0
     outputs = []
-    for t in range(t_steps):
+    for t in range(x_seq.shape[0]):
         step_mask = None if mask is None else mask[t:t + 1]
-        layer_input = x_seq[t:t + 1]
-        for layer, cell in enumerate(rnn.cells):
-            if layer > 0:
-                layer_input = rnn.dropout(layer_input)
-            params = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
-            if isinstance(rnn, LSTM):
-                layer_input, h, c = lstm_layer_forward(
-                    layer_input, *state[layer], *params, mask=step_mask)
-                state[layer] = (h, c)
-            else:
-                layer_input, state[layer] = gru_layer_forward(
-                    layer_input, state[layer], *params, mask=step_mask)
-        outputs.append(layer_input)
+        out, state = rnn(x_seq[t:t + 1], h0=state, mask=step_mask)
+        outputs.append(out)
     return concat(outputs, axis=0), state
 
 
@@ -117,7 +110,7 @@ def encoder_decoder(model: EncoderDecoder, mode: str):
     def encode(src, src_mask):
         _, state = stepwise_stack(model.encoder, model.embedding(src),
                                   mask=src_mask)
-        return model._top_hidden(state), state
+        return state[-1][0], state
 
     def decode(tgt_in, state, tgt_mask):
         out_seq, _ = stepwise_stack(model.decoder, model.embedding(tgt_in),
@@ -138,6 +131,17 @@ def build_model(profile: dict, rnn_type: str) -> EncoderDecoder:
         rnn_type=rnn_type,
         seed=0,
     ))
+
+
+def round_ratio_quartiles(times: dict) -> list:
+    """25th and 75th percentiles of the per-round stepwise/fused time ratio.
+
+    Rounds run the two modes back to back, so each round's ratio sees one
+    load pattern; the spread of the ratios says how far the min-based
+    speedup can be trusted on this host.
+    """
+    ratios = np.array(times["stepwise"]) / np.array(times["fused"])
+    return [round(float(q), 2) for q in np.percentile(ratios, [25, 75])]
 
 
 def bench_rnn_type(rnn_type: str, profile: dict,
@@ -162,7 +166,7 @@ def bench_rnn_type(rnn_type: str, profile: dict,
         loss.backward()
         optimizer.step()
 
-    best_step = {mode: float("inf") for mode in MODES}
+    step_s = {mode: [] for mode in MODES}
     model.train()
     for mode in MODES:                      # warm caches outside timing
         train_step(mode)
@@ -173,11 +177,13 @@ def bench_rnn_type(rnn_type: str, profile: dict,
             elapsed = time.perf_counter() - start
             registry.histogram(f"{rnn_type}.{mode}.train.step_s").observe(elapsed)
             registry.counter(f"{rnn_type}.{mode}.train.tokens").inc(tokens)
-            best_step[mode] = min(best_step[mode], elapsed)
+            step_s[mode].append(elapsed)
+    best_step = {mode: min(step_s[mode]) for mode in MODES}
 
     # Encode latency in eval mode (the similarity-query serving path).
     model.eval()
     encode_hists = {}
+    encode_s = {mode: [] for mode in MODES}
     for mode in MODES:
         paths[mode][0](src, src_mask)       # warmup
     for _ in range(profile["encode_rounds"]):
@@ -188,6 +194,7 @@ def bench_rnn_type(rnn_type: str, profile: dict,
             hist = registry.histogram(f"{rnn_type}.{mode}.encode.latency_s")
             hist.observe(elapsed)
             encode_hists[mode] = hist
+            encode_s[mode].append(elapsed)
 
     result = {}
     for mode in MODES:
@@ -208,9 +215,11 @@ def bench_rnn_type(rnn_type: str, profile: dict,
     result["train_speedup"] = round(
         result["fused"]["train_tokens_per_s"]
         / result["stepwise"]["train_tokens_per_s"], 2)
+    result["train_speedup_iqr"] = round_ratio_quartiles(step_s)
     result["encode_speedup"] = round(
         result["stepwise"]["encode_latency_s"]["min"]
         / result["fused"]["encode_latency_s"]["min"], 2)
+    result["encode_speedup_iqr"] = round_ratio_quartiles(encode_s)
     return result
 
 
@@ -227,13 +236,19 @@ def run(smoke: bool = False, output: Path = DEFAULT_OUTPUT) -> dict:
         "workload": {k: profile[k] for k in
                      ("vocab", "max_len", "batch", "hidden", "layers",
                       "dropout")},
-        "timing": "interleaved rounds, per-mode minimum step time",
+        "timing": ("interleaved rounds, per-mode minimum step time; "
+                   "*_speedup_iqr: 25th/75th percentile of the per-round "
+                   "stepwise/fused time ratio"),
         "results": results,
         "summary": {
             "train_speedup": {rt: results[rt]["train_speedup"]
                               for rt in results},
+            "train_speedup_iqr": {rt: results[rt]["train_speedup_iqr"]
+                                  for rt in results},
             "encode_speedup": {rt: results[rt]["encode_speedup"]
                                for rt in results},
+            "encode_speedup_iqr": {rt: results[rt]["encode_speedup_iqr"]
+                                   for rt in results},
         },
     }
     output.write_text(json.dumps(report, indent=2) + "\n")
@@ -243,11 +258,14 @@ def run(smoke: bool = False, output: Path = DEFAULT_OUTPUT) -> dict:
     lines = [f"throughput ({report['profile']} profile) — "
              "train tokens/sec, fused vs step-wise"]
     for rt, res in results.items():
+        train_lo, train_hi = res["train_speedup_iqr"]
+        encode_lo, encode_hi = res["encode_speedup_iqr"]
         lines.append(
             f"  {rt:4s}: stepwise {res['stepwise']['train_tokens_per_s']:>9,.0f}"
             f"  fused {res['fused']['train_tokens_per_s']:>9,.0f}"
-            f"  ({res['train_speedup']:.2f}x train, "
-            f"{res['encode_speedup']:.2f}x encode)")
+            f"  ({res['train_speedup']:.2f}x train [IQR {train_lo:.2f}-"
+            f"{train_hi:.2f}], {res['encode_speedup']:.2f}x encode "
+            f"[IQR {encode_lo:.2f}-{encode_hi:.2f}])")
     print("\n".join(lines))
     return report
 
@@ -261,6 +279,9 @@ def test_throughput_smoke(tmp_path):
             assert res[mode]["train_tokens_per_s"] > 0
             assert res[mode]["encode_latency_s"]["p95"] > 0
         assert res["train_speedup"] > 0
+        for key in ("train_speedup_iqr", "encode_speedup_iqr"):
+            low, high = res[key]
+            assert 0 < low <= high, (rnn_type, key, res[key])
     assert (tmp_path / "BENCH_throughput.json").exists()
 
 

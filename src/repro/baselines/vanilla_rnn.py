@@ -102,6 +102,9 @@ class VanillaRNNEmbedding(TrajectoryDistance):
 
     def encode_many(self, trajectories: Sequence[Trajectory]) -> np.ndarray:
         """Embed trajectories (batched); results are cached per object."""
+        if len(trajectories) == 0:
+            return np.zeros((0, self.model.rnn.hidden_size),
+                            dtype=self.model.proj.weight.data.dtype)
         missing = [t for t in trajectories
                    if t.cache_key() not in self._encodings]
         if missing:
@@ -109,7 +112,7 @@ class VanillaRNNEmbedding(TrajectoryDistance):
             sequences = [tokenize(t, self.vocab) for t in missing]
             batch, mask = pad_batch(sequences)
             _, state = self.model(batch, mask)
-            vectors = state[-1].numpy()
+            vectors = state[-1][0].numpy()
             for traj, vec in zip(missing, vectors):
                 self._encodings[traj.cache_key()] = vec
             self.model.train()

@@ -15,12 +15,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..nn import GRU, Embedding, Module, Parameter, Tensor, init
+from ..nn import GRU, LSTM, Embedding, Module, Parameter, Tensor, init
 from ..nn.functional import log_softmax
-from ..nn.lstm import LSTM
+from ..nn.rnn import LayerState
 from ..spatial.vocab import BOS, EOS
 
-RNN_TYPES = ("gru", "lstm")
+#: ``ModelConfig.rnn_type`` → the recurrent stack the model builds.
+RNN_TYPES = {"gru": GRU, "lstm": LSTM}
 
 
 def _check_max_len(max_len: int) -> None:
@@ -42,7 +43,7 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.rnn_type not in RNN_TYPES:
-            raise ValueError(f"rnn_type must be one of {RNN_TYPES}, "
+            raise ValueError(f"rnn_type must be one of {tuple(RNN_TYPES)}, "
                              f"got {self.rnn_type}")
 
 
@@ -61,7 +62,7 @@ class EncoderDecoder(Module):
         rng = np.random.default_rng(config.seed)
         self.config = config
         self.embedding = Embedding(config.vocab_size, config.embedding_size, rng=rng)
-        rnn_cls = GRU if config.rnn_type == "gru" else LSTM
+        rnn_cls = RNN_TYPES[config.rnn_type]
         self.encoder = rnn_cls(config.embedding_size, config.hidden_size,
                                num_layers=config.num_layers,
                                dropout=config.dropout, rng=rng)
@@ -77,21 +78,17 @@ class EncoderDecoder(Module):
     # Encoder
     # ------------------------------------------------------------------
     def encode(self, src: np.ndarray, src_mask: np.ndarray
-               ) -> Tuple[Tensor, List[Tensor]]:
+               ) -> Tuple[Tensor, List[LayerState]]:
         """Encode a time-major token batch.
 
         Returns ``(v, state)``: ``v`` is the ``(batch, hidden)`` trajectory
         representation (top-layer final hidden state) and ``state`` is the
-        per-layer final state used to initialize the decoder.
+        per-layer final state used to initialize the decoder, one tuple per
+        layer whose first entry is ``h``.
         """
         # One (T, B) embedding gather + one fused kernel per layer.
         _, state = self.encoder(self.embedding(src), mask=src_mask)
-        return self._top_hidden(state), state
-
-    def _top_hidden(self, state) -> Tensor:
-        """Top-layer hidden vector regardless of the RNN family."""
-        top = state[-1]
-        return top[0] if isinstance(top, tuple) else top
+        return state[-1][0], state
 
     def represent(self, src: np.ndarray, src_mask: np.ndarray) -> np.ndarray:
         """Inference helper: representation vectors as a plain array."""
@@ -106,7 +103,7 @@ class EncoderDecoder(Module):
     # ------------------------------------------------------------------
     # Decoder
     # ------------------------------------------------------------------
-    def decode(self, tgt_in: np.ndarray, state: List[Tensor],
+    def decode(self, tgt_in: np.ndarray, state: List[LayerState],
                tgt_mask: Optional[np.ndarray] = None) -> Tensor:
         """Teacher-forced decoding.
 
@@ -155,17 +152,9 @@ class EncoderDecoder(Module):
             self.train(was_training)
 
     def _select_column(self, state, index: int):
-        """Slice one batch column out of an encoder state (GRU or LSTM)."""
-        def pick(tensor: Tensor) -> Tensor:
-            return Tensor(tensor.numpy()[index:index + 1])
-
-        selected = []
-        for layer in state:
-            if isinstance(layer, tuple):
-                selected.append(tuple(pick(part) for part in layer))
-            else:
-                selected.append(pick(layer))
-        return selected
+        """Slice one batch column out of an encoder state."""
+        return [tuple(Tensor(part.numpy()[index:index + 1]) for part in layer)
+                for layer in state]
 
     def _beam_one(self, state, beam_width: int, max_len: int) -> np.ndarray:
         # Each beam: (score_sum, tokens, state); finished: (normalized, tokens)
@@ -178,7 +167,7 @@ class EncoderDecoder(Module):
                 step = self.embedding(np.array([[previous]]))
                 _, new_state = self.decoder(step, h0=beam_state)
                 log_probs = log_softmax(
-                    self.logits(self._top_hidden(new_state)), axis=1).numpy()[0]
+                    self.logits(new_state[-1][0]), axis=1).numpy()[0]
                 log_probs[BOS] = -np.inf
                 if beam_width + 1 >= len(log_probs):
                     top = np.arange(len(log_probs))
@@ -229,7 +218,7 @@ class EncoderDecoder(Module):
             for _ in range(max_len):
                 step = self.embedding(tokens[None, :])
                 _, state = self.decoder(step, h0=state)
-                scores = self.logits(self._top_hidden(state)).numpy()
+                scores = self.logits(state[-1][0]).numpy()
                 scores[:, BOS] = -np.inf  # never re-emit the start token
                 tokens = scores.argmax(axis=1)
                 is_eos = tokens == EOS

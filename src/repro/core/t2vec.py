@@ -214,7 +214,6 @@ class T2Vec(TrajectoryDistance):
             train, self.vocab, cfg.dropping_rates, cfg.distorting_rates,
             seed=train_seed,
             bucket_batches=cfg.training.bucket_batches,
-            prefetch_batches=cfg.training.prefetch_batches,
             registry=self.registry)
         val_ds = None
         if validation:
@@ -244,6 +243,9 @@ class T2Vec(TrajectoryDistance):
         along with a per-trajectory encode-latency histogram.
         """
         self._require_fitted()
+        if len(trajectories) == 0:
+            return np.zeros((0, self.config.hidden_size),
+                            dtype=self.model.proj_weight.data.dtype)
         reg = self._registry()
         cache = self._encodings
         unique: "OrderedDict[bytes, Trajectory]" = OrderedDict(

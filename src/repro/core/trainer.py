@@ -30,8 +30,9 @@ from .losses import LossSpec, sequence_loss
 
 
 #: Training-config keys of older checkpoints that no longer exist: the
-#: worker count of the multi-process data pipeline, which was removed.
-_RETIRED_KEYS = frozenset({"num_workers"})
+#: worker count of the removed multi-process data pipeline, and the
+#: prefetch depth, which is fixed at two batches.
+_RETIRED_KEYS = frozenset({"num_workers", "prefetch_batches"})
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class TrainingConfig:
     patience: int = 5              # validation rounds without improvement
     eval_batches: int = 20         # validation mini-batches per round
     bucket_batches: int = 8        # length-bucketing window, in batches
-    prefetch_batches: int = 2      # batches kept ready by the prefetcher
     seed: int = 0
 
     def to_dict(self) -> Dict[str, Any]:

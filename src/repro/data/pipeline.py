@@ -19,7 +19,7 @@ This module streams those pairs straight into training batches:
   positions than shuffle-only batching, without a global length
   curriculum.
 * **Double-buffered prefetch.**  A background thread (:class:`Prefetcher`)
-  keeps ``prefetch_batches`` assembled batches ready.
+  keeps two assembled batches ready.
 
 Telemetry (recorded into the registry passed at construction, or the
 process default): the ``data.worker.produce_s`` histogram (synthesis
@@ -187,9 +187,6 @@ class TrainingDataPipeline:
         Length-bucketing window, in batches.  ``None`` buffers the whole
         epoch, which makes the batch stream exactly reproduce
         ``TokenPairDataset.batches`` over the same token pairs.
-    prefetch_batches:
-        Assembled batches kept ready by the background prefetch thread
-        (``0`` disables prefetching).
     """
 
     def __init__(self, originals: Sequence[Trajectory],
@@ -198,7 +195,6 @@ class TrainingDataPipeline:
                  distorting_rates: Sequence[float] = DEFAULT_DISTORTING_RATES,
                  seed: int = 0,
                  bucket_batches: Optional[int] = 8,
-                 prefetch_batches: int = 2,
                  registry: Optional[MetricsRegistry] = None):
         self.dropping_rates = tuple(dropping_rates)
         self.distorting_rates = tuple(distorting_rates)
@@ -212,14 +208,10 @@ class TrainingDataPipeline:
         if bucket_batches is not None and bucket_batches < 1:
             raise ValueError(
                 f"bucket_batches must be >= 1 or None, got {bucket_batches}")
-        if prefetch_batches < 0:
-            raise ValueError(
-                f"prefetch_batches must be >= 0, got {prefetch_batches}")
         self.originals = list(originals)
         self.vocab = vocab
         self.seed = seed
         self.bucket_batches = bucket_batches
-        self.prefetch_batches = prefetch_batches
         self.registry = registry
 
     def _registry(self) -> MetricsRegistry:
@@ -279,11 +271,7 @@ class TrainingDataPipeline:
         if shuffle:
             rng = rng or np.random.default_rng()
             shuffle_seed = int(rng.integers(np.iinfo(np.int64).max))
-        assembled = self._assemble(batch_size, shuffle_seed)
-        if self.prefetch_batches < 1:
-            yield from assembled
-            return
-        prefetcher = Prefetcher(assembled, depth=self.prefetch_batches)
+        prefetcher = Prefetcher(self._assemble(batch_size, shuffle_seed))
         try:
             yield from prefetcher
         finally:

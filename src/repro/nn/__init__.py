@@ -6,11 +6,13 @@ implementation (see DESIGN.md §2).  Public surface:
 * :class:`Tensor` plus :func:`concat` / :func:`stack` — autograd arrays.
 * :class:`Module` / :class:`Parameter` — model building blocks.
 * :class:`Linear`, :class:`Embedding`, :class:`Dropout` — layers.
-* :class:`GRU` / :class:`LSTM` — multi-layer recurrent stacks over
-  ``(T, batch, input)`` sequences.  Each layer runs through one fused
-  kernel, :func:`gru_layer_forward` / :func:`lstm_layer_forward`, with a
-  hand-derived BPTT backward; :class:`GRUCell` / :class:`LSTMCell` hold
-  one layer's weights.
+* :class:`GRU` / :class:`LSTM` — the one multi-layer recurrent stack
+  (:class:`~repro.nn.rnn.RecurrentStack`) over ``(T, batch, input)``
+  sequences, stacking :class:`GRUCell` / :class:`LSTMCell`.  Each cell
+  holds one layer's weights and runs one fused kernel,
+  :func:`gru_layer_forward` / :func:`lstm_layer_forward`, with a
+  hand-derived BPTT backward.  The state is one tuple per layer, ``h``
+  first: ``(h,)`` for a GRU, ``(h, c)`` for an LSTM.
 * :func:`nll_loss` (L1), :func:`weighted_nll_loss` (L2),
   :func:`sampled_weighted_loss` (L3) — the paper's decoder losses.  L3 is
   one fused tape node with a closed-form, sparse-scatter backward; it is

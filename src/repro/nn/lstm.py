@@ -1,4 +1,4 @@
-"""LSTM: the fused layer kernel and a multi-layer stack.
+"""LSTM: the fused layer kernel, its cell and the ``LSTM`` stack.
 
 The paper chooses GRU over LSTM because it is "as good as LSTM in
 sequence modeling tasks, while much more efficient to compute"
@@ -17,19 +17,21 @@ Gate formulation (PyTorch order i, f, g, o):
 
 Like the GRU (see :mod:`repro.nn.rnn`), every pass runs through one
 kernel, :func:`lstm_layer_forward`: a single tape node per layer with a
-hand-derived BPTT backward, for any ``T >= 1``.
+hand-derived BPTT backward, for any ``T >= 1``.  :class:`LSTM` is the
+shared :class:`~repro.nn.rnn.RecurrentStack` over :class:`LSTMCell`; each
+layer's state is the pair ``(h, c)``, so ``state[-1][0]`` is the top
+hidden state exactly as for the GRU.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import init
-from .layers import Dropout
 from .module import Module, Parameter
-from .rnn import _sequence_mask, _sigmoid_
+from .rnn import LayerState, RecurrentStack, _sequence_mask, _sigmoid_
 from .tensor import Tensor
 
 
@@ -219,10 +221,10 @@ def lstm_layer_forward(x_seq: Tensor, h0: Optional[Tensor], c0: Optional[Tensor]
 
 
 class LSTMCell(Module):
-    """The weights of one LSTM layer; :func:`lstm_layer_forward` runs them.
+    """One LSTM layer: its weights, run by :func:`lstm_layer_forward`.
 
     Gate weights are fused into one matrix per input, columns ordered
-    ``[i | f | g | o]``.
+    ``[i | f | g | o]``.  The layer's state is the pair ``(h, c)``.
     """
 
     def __init__(self, input_size: int, hidden_size: int,
@@ -242,68 +244,18 @@ class LSTMCell(Module):
         self.b_ih = Parameter(b)
         self.b_hh = Parameter(init.zeros((4 * hidden_size,)))
 
+    def forward(self, x_seq: Tensor, state: Optional[LayerState] = None,
+                mask: Optional[np.ndarray] = None
+                ) -> Tuple[Tensor, LayerState]:
+        """Run the layer over ``x_seq`` from ``state`` (zeros when ``None``)."""
+        h0, c0 = state or (None, None)
+        out_seq, h_last, c_last = lstm_layer_forward(
+            x_seq, h0, c0, self.w_ih, self.w_hh, self.b_ih, self.b_hh,
+            mask=mask)
+        return out_seq, (h_last, c_last)
 
-class LSTM(Module):
-    """Multi-layer LSTM over a ``(T, batch, input)`` sequence; API mirrors :class:`GRU`.
 
-    ``forward`` returns ``(out_seq, state)`` where ``state`` is a list of
-    per-layer ``(h, c)`` tuples.  For interchangeability with the GRU in
-    the encoder-decoder, :meth:`hidden_of` extracts only the ``h`` parts.
-    """
+class LSTM(RecurrentStack):
+    """Multi-layer LSTM; per-layer state ``(h, c)``."""
 
-    def __init__(self, input_size: int, hidden_size: int, num_layers: int = 1,
-                 dropout: float = 0.0, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        rng = rng or np.random.default_rng()
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.num_layers = num_layers
-        self.cells = [
-            LSTMCell(input_size if layer == 0 else hidden_size, hidden_size,
-                     rng=rng)
-            for layer in range(num_layers)
-        ]
-        self.dropout = Dropout(dropout, rng=rng)
-
-    def initial_state(self, batch_size: int) -> List[Tuple[Tensor, Tensor]]:
-        return [(Tensor(np.zeros((batch_size, self.hidden_size))),
-                 Tensor(np.zeros((batch_size, self.hidden_size))))
-                for _ in range(self.num_layers)]
-
-    def forward(
-        self,
-        x_seq: Tensor,
-        h0: Optional[List[Tuple[Tensor, Tensor]]] = None,
-        mask: Optional[np.ndarray] = None,
-    ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
-        """Run the stack over ``x_seq``; API mirrors :meth:`GRU.forward`.
-
-        Returns ``(out_seq, state)`` where ``out_seq`` is the top layer's
-        ``(T, batch, hidden)`` output and ``state`` holds per-layer
-        ``(h, c)`` finals.
-        """
-        if x_seq.ndim != 3 or x_seq.shape[0] < 1:
-            raise ValueError("LSTM.forward requires a (T, batch, input) "
-                             f"tensor with T >= 1, got shape {x_seq.shape}")
-        batch = x_seq.shape[1]
-        state = list(h0) if h0 is not None else self.initial_state(batch)
-        if len(state) != self.num_layers:
-            raise ValueError(
-                f"h0 has {len(state)} layers, expected {self.num_layers}")
-        layer_input = x_seq
-        for layer, cell in enumerate(self.cells):
-            if layer > 0:
-                layer_input = self.dropout(layer_input)
-            h_prev, c_prev = state[layer]
-            layer_input, h_last, c_last = lstm_layer_forward(
-                layer_input, h_prev, c_prev, cell.w_ih, cell.w_hh,
-                cell.b_ih, cell.b_hh, mask=mask)
-            state[layer] = (h_last, c_last)
-        return layer_input, state
-
-    @staticmethod
-    def hidden_of(state: List[Tuple[Tensor, Tensor]]) -> List[Tensor]:
-        """Extract the ``h`` component per layer (GRU-compatible shape)."""
-        return [h for h, _ in state]
+    cell_class = LSTMCell

@@ -1,4 +1,4 @@
-"""Gated recurrent units: the fused layer kernel and a multi-layer ``GRU``.
+"""GRU layer kernel and cell, and the one multi-layer recurrent stack.
 
 The paper uses a 3-layer GRU for both the encoder and the decoder
 (Section V-B).  The implementation follows the standard (cuDNN/PyTorch)
@@ -17,8 +17,14 @@ Every GRU pass — training, encoding and one-token-at-a-time decoding —
 runs through :func:`gru_layer_forward`: the input-to-hidden projection of
 all timesteps is hoisted into one ``(T*B, in) @ (in, 3H)`` GEMM, the
 recurrence is a tight numpy loop, and the whole layer records a *single*
-tape node whose backward runs BPTT analytically.  :meth:`GRU.forward`
-stacks the layers.  The step-wise reference built from autograd
+tape node whose backward runs BPTT analytically.
+
+:class:`RecurrentStack` is the one multi-layer stack, for the GRU here and
+the LSTM in :mod:`repro.nn.lstm`: each cell's ``forward(x_seq, state,
+mask)`` runs its layer kernel and returns ``(out_seq, state)``, and the
+stack only validates the input, applies dropout between layers and keeps
+one state tuple per layer — ``(h,)`` for a GRU, ``(h, c)`` for an LSTM,
+``None`` for zeros.  The step-wise reference built from autograd
 primitives lives in the test suite's oracles.
 """
 
@@ -33,6 +39,9 @@ from . import init
 from .layers import Dropout
 from .module import Module, Parameter
 from .tensor import Tensor
+
+#: One layer's state: ``(h,)`` for a GRU layer, ``(h, c)`` for an LSTM layer.
+LayerState = Tuple[Tensor, ...]
 
 
 def _sigmoid_(x: np.ndarray) -> np.ndarray:
@@ -244,10 +253,10 @@ def gru_layer_forward(x_seq: Tensor, h0: Optional[Tensor],
 
 
 class GRUCell(Module):
-    """The weights of one GRU layer; :func:`gru_layer_forward` runs them.
+    """One GRU layer: its weights, run by :func:`gru_layer_forward`.
 
     Gate weights are fused into one matrix per input, columns ordered
-    ``[reset | update | new]``.
+    ``[reset | update | new]``.  The layer's state is the 1-tuple ``(h,)``.
     """
 
     def __init__(self, input_size: int, hidden_size: int,
@@ -264,9 +273,24 @@ class GRUCell(Module):
         self.b_ih = Parameter(init.zeros((3 * hidden_size,)))
         self.b_hh = Parameter(init.zeros((3 * hidden_size,)))
 
+    def forward(self, x_seq: Tensor, state: Optional[LayerState] = None,
+                mask: Optional[np.ndarray] = None
+                ) -> Tuple[Tensor, LayerState]:
+        """Run the layer over ``x_seq`` from ``state`` (zeros when ``None``)."""
+        (h0,) = state or (None,)
+        out_seq, h_last = gru_layer_forward(x_seq, h0, self.w_ih, self.w_hh,
+                                            self.b_ih, self.b_hh, mask=mask)
+        return out_seq, (h_last,)
 
-class GRU(Module):
-    """Multi-layer GRU over a time-major ``(T, batch, input)`` sequence.
+
+class RecurrentStack(Module):
+    """Multi-layer recurrent network over a time-major ``(T, batch, input)`` sequence.
+
+    Subclasses only name the layer class they stack (``cell_class``).  The
+    state of the stack is a list with one tuple per layer whose first
+    entry is the layer's hidden state ``h``: ``(h,)`` for a GRU layer,
+    ``(h, c)`` for an LSTM layer.  ``state[-1][0]`` is therefore the
+    top-layer hidden state for every family.
 
     Parameters
     ----------
@@ -278,6 +302,8 @@ class GRU(Module):
         (standard stacked-RNN regularization); inactive in eval mode.
     """
 
+    cell_class: type
+
     def __init__(self, input_size: int, hidden_size: int, num_layers: int = 1,
                  dropout: float = 0.0, rng: Optional[np.random.Generator] = None):
         super().__init__()
@@ -288,21 +314,18 @@ class GRU(Module):
         self.hidden_size = hidden_size
         self.num_layers = num_layers
         self.cells = [
-            GRUCell(input_size if layer == 0 else hidden_size, hidden_size, rng=rng)
+            self.cell_class(input_size if layer == 0 else hidden_size,
+                            hidden_size, rng=rng)
             for layer in range(num_layers)
         ]
         self.dropout = Dropout(dropout, rng=rng)
 
-    def initial_state(self, batch_size: int) -> List[Tensor]:
-        return [Tensor(np.zeros((batch_size, self.hidden_size)))
-                for _ in range(self.num_layers)]
-
     def forward(
         self,
         x_seq: Tensor,
-        h0: Optional[List[Tensor]] = None,
+        h0: Optional[List[Optional[LayerState]]] = None,
         mask: Optional[np.ndarray] = None,
-    ) -> Tuple[Tensor, List[Tensor]]:
+    ) -> Tuple[Tensor, List[LayerState]]:
         """Run the stack over ``x_seq``, one tape node per layer.
 
         Parameters
@@ -311,23 +334,24 @@ class GRU(Module):
             ``(T, batch, input_size)`` inputs, ``T >= 1``.  Single-step
             decoding passes ``T = 1``.
         h0:
-            Initial hidden state per layer; zeros when omitted.
+            Initial state per layer; ``None`` (for the stack or for one
+            layer) means zeros.
         mask:
             Optional ``(T, batch)`` array of 0/1; where 0, the previous
-            hidden state is carried through (padding).
+            state is carried through (padding).
 
         Returns
         -------
         out_seq:
             ``(T, batch, hidden)`` top-layer hidden states.
         state:
-            Final hidden state per layer.
+            Final state per layer.
         """
         if x_seq.ndim != 3 or x_seq.shape[0] < 1:
-            raise ValueError("GRU.forward requires a (T, batch, input) "
-                             f"tensor with T >= 1, got shape {x_seq.shape}")
-        batch = x_seq.shape[1]
-        state = list(h0) if h0 is not None else self.initial_state(batch)
+            raise ValueError(f"{type(self).__name__}.forward requires a "
+                             "(T, batch, input) tensor with T >= 1, "
+                             f"got shape {x_seq.shape}")
+        state = list(h0) if h0 is not None else [None] * self.num_layers
         if len(state) != self.num_layers:
             raise ValueError(
                 f"h0 has {len(state)} layers, expected {self.num_layers}")
@@ -335,7 +359,11 @@ class GRU(Module):
         for layer, cell in enumerate(self.cells):
             if layer > 0:
                 layer_input = self.dropout(layer_input)
-            layer_input, state[layer] = gru_layer_forward(
-                layer_input, state[layer], cell.w_ih, cell.w_hh,
-                cell.b_ih, cell.b_hh, mask=mask)
+            layer_input, state[layer] = cell(layer_input, state[layer], mask)
         return layer_input, state
+
+
+class GRU(RecurrentStack):
+    """Multi-layer GRU; per-layer state ``(h,)``."""
+
+    cell_class = GRUCell

@@ -3,10 +3,11 @@
 Each oracle is the plainest correct form of its fast path: the loss and
 the step-wise GRU/LSTM are built from the generic autograd ops so that
 their gradients come from the tape, the decoders run one batch column
-and one token at a time, the k-NN and LSH references are per-query
-numpy scans, and the training pairs come one at a time from the public
-``degrade`` and ``tokenize``.  Differential tests compare the fast path
-with these.
+and one token at a time, the trajectory distances are double-loop
+dynamic programs over one pair, the k-NN and LSH references are
+per-query numpy scans, and the training pairs come one at a time from
+the public ``degrade`` and ``tokenize``.  Differential tests compare
+the fast path with these.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data import Trajectory, degrade, pair_rng, tokenize
-from repro.nn import LSTM, Tensor, stack, where_const
+from repro.nn import GRUCell, LSTMCell, Tensor, stack, where_const
 from repro.nn.functional import logsumexp
 from repro.spatial import BOS, EOS, CellVocabulary
 
@@ -159,37 +160,44 @@ def lstm_layer(x_seq: Tensor, h0: Optional[Tensor], c0: Optional[Tensor],
     return stack(outputs, axis=0), h, c
 
 
+def _gru_cell(cell, x_seq, state, mask):
+    h0, = state or (None,)
+    out_seq, h = gru_layer(x_seq, h0, cell.w_ih, cell.w_hh, cell.b_ih,
+                           cell.b_hh, mask=mask)
+    return out_seq, (h,)
+
+
+def _lstm_cell(cell, x_seq, state, mask):
+    h0, c0 = state or (None, None)
+    out_seq, h, c = lstm_layer(x_seq, h0, c0, cell.w_ih, cell.w_hh, cell.b_ih,
+                               cell.b_hh, mask=mask)
+    return out_seq, (h, c)
+
+
+#: The step-wise oracle of each cell's ``forward(x_seq, state, mask)``.
+CELL_ORACLES = {GRUCell: _gru_cell, LSTMCell: _lstm_cell}
+
+
 def rnn_stack(rnn, x_seq: Tensor, h0: Optional[list] = None,
               mask: Optional[np.ndarray] = None) -> Tuple[Tensor, list]:
     """A ``GRU`` or ``LSTM`` module's forward, layer by layer and step by step.
 
-    Uses the module's weights and returns ``(out_seq, state)`` like the
+    Uses the module's weights and state layout (one tuple per layer, ``h``
+    first; ``None`` for zeros) and returns ``(out_seq, state)`` like the
     module does.  Dropout is not applied: compare in eval mode or with
     ``dropout=0``.
     """
-    state = []
+    state = list(h0) if h0 is not None else [None] * len(rnn.cells)
     layer_input = x_seq
     for layer, cell in enumerate(rnn.cells):
-        params = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
-        if isinstance(rnn, LSTM):
-            h, c = h0[layer] if h0 is not None else (None, None)
-            layer_input, h, c = lstm_layer(layer_input, h, c, *params, mask=mask)
-            state.append((h, c))
-        else:
-            h = h0[layer] if h0 is not None else None
-            layer_input, h = gru_layer(layer_input, h, *params, mask=mask)
-            state.append(h)
+        layer_input, state[layer] = CELL_ORACLES[type(cell)](
+            cell, layer_input, state[layer], mask)
     return layer_input, state
 
 
 # ---------------------------------------------------------------------------
 # Decoding, one batch column and one token at a time
 # ---------------------------------------------------------------------------
-
-def _top(state) -> np.ndarray:
-    top = state[-1]
-    return (top[0] if isinstance(top, tuple) else top).numpy()[0]
-
 
 def _column_state(model, src: np.ndarray, src_mask: np.ndarray, column: int):
     """Encoder state of one batch column, trimmed to its real length."""
@@ -203,7 +211,7 @@ def _next_log_probs(model, token: int, state):
     """Decoder step from ``token``: ``(log-probabilities over cells, state)``."""
     _, state = rnn_stack(model.decoder, model.embedding(np.array([[token]])),
                          h0=state)
-    scores = (model.proj_weight.numpy() @ _top(state)
+    scores = (model.proj_weight.numpy() @ state[-1][0].numpy()[0]
               + model.proj_bias.numpy())
     shifted = scores - scores.max()
     log_probs = shifted - np.log(np.exp(shifted).sum())
@@ -264,6 +272,128 @@ def beam_decode(model, src: np.ndarray, src_mask: np.ndarray,
         best = max(finished, key=lambda item: item[0])
         results.append(np.array(best[1], dtype=np.int64))
     return results
+
+
+# ---------------------------------------------------------------------------
+# Trajectory distances: plain double-loop dynamic programs for one pair
+# ---------------------------------------------------------------------------
+
+def _dist(p: np.ndarray, q: np.ndarray) -> float:
+    return float(np.sqrt(((p - q) ** 2).sum()))
+
+
+def _within(p: np.ndarray, q: np.ndarray, epsilon: float) -> bool:
+    """EDR/LCSS matching: within ``epsilon`` in every coordinate."""
+    return bool((np.abs(p - q) <= epsilon).all())
+
+
+def dtw(a: Trajectory, b: Trajectory) -> float:
+    """Dynamic Time Warping with Euclidean point costs."""
+    p, q = a.points, b.points
+    n, m = len(p), len(q)
+    dp = np.full((n + 1, m + 1), np.inf)
+    dp[0, 0] = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            dp[i, j] = _dist(p[i - 1], q[j - 1]) + min(
+                dp[i - 1, j], dp[i, j - 1], dp[i - 1, j - 1])
+    return float(dp[n, m])
+
+
+def edr(a: Trajectory, b: Trajectory, epsilon: float) -> float:
+    """Edit Distance on Real sequences: unit-cost edits, free matches."""
+    p, q = a.points, b.points
+    n, m = len(p), len(q)
+    dp = np.zeros((n + 1, m + 1))
+    dp[:, 0] = np.arange(n + 1)
+    dp[0, :] = np.arange(m + 1)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            sub = dp[i - 1, j - 1] + (
+                0.0 if _within(p[i - 1], q[j - 1], epsilon) else 1.0)
+            dp[i, j] = min(sub, dp[i - 1, j] + 1.0, dp[i, j - 1] + 1.0)
+    return float(dp[n, m])
+
+
+def lcss(a: Trajectory, b: Trajectory, epsilon: float) -> float:
+    """LCSS distance ``1 - LCSS / min(n, m)``."""
+    p, q = a.points, b.points
+    n, m = len(p), len(q)
+    table = np.zeros((n + 1, m + 1), dtype=np.int64)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            if _within(p[i - 1], q[j - 1], epsilon):
+                table[i, j] = table[i - 1, j - 1] + 1
+            else:
+                table[i, j] = max(table[i - 1, j], table[i, j - 1])
+    return 1.0 - int(table[n, m]) / min(n, m)
+
+
+def erp(a: Trajectory, b: Trajectory, gap_point: np.ndarray) -> float:
+    """Edit distance with Real Penalty: gaps cost the distance to ``gap_point``."""
+    p, q = a.points, b.points
+    n, m = len(p), len(q)
+    gap_p = [_dist(point, gap_point) for point in p]
+    gap_q = [_dist(point, gap_point) for point in q]
+    dp = np.zeros((n + 1, m + 1))
+    dp[1:, 0] = np.cumsum(gap_p)
+    dp[0, 1:] = np.cumsum(gap_q)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            dp[i, j] = min(dp[i - 1, j - 1] + _dist(p[i - 1], q[j - 1]),
+                           dp[i - 1, j] + gap_p[i - 1],
+                           dp[i, j - 1] + gap_q[j - 1])
+    return float(dp[n, m])
+
+
+def _project(point: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """``point`` projected onto the segment ``start → end``, clamped to it."""
+    seg = end - start
+    length_sq = float(seg @ seg)
+    if length_sq == 0.0:
+        return start
+    t = min(max(float((point - start) @ seg) / length_sq, 0.0), 1.0)
+    return start + t * seg
+
+
+def edwp(a: Trajectory, b: Trajectory) -> float:
+    """EDwP's finite-state DP over point indices, one cell at a time.
+
+    ``dp[i][j]`` is the cheapest alignment of ``a`` up to point ``i`` with
+    ``b`` up to point ``j``.  It comes from ``(i-1, j-1)`` by replacing
+    edge pair ``(a_{i-1} a_i, b_{j-1} b_j)``, from ``(i-1, j)`` by matching
+    ``a``'s edge against ``b_j`` and the projection of ``a_i`` onto ``b``'s
+    next segment, or symmetrically from ``(i, j-1)``.  Costs are the two
+    endpoint distances times the covered length; at the last point the
+    next segment has zero length, so the projection is the point itself.
+    """
+    p, q = a.points, b.points
+    n, m = len(p), len(q)
+
+    def next_end(points, k):
+        return points[min(k + 1, len(points) - 1)]
+
+    dp = np.full((n, m), np.inf)
+    dp[0, 0] = 0.0
+    for i in range(n):
+        for j in range(m):
+            best = dp[i, j]
+            if i >= 1 and j >= 1:
+                best = min(best, dp[i - 1, j - 1] + (
+                    _dist(p[i - 1], q[j - 1]) + _dist(p[i], q[j])) * (
+                    _dist(p[i - 1], p[i]) + _dist(q[j - 1], q[j])))
+            if i >= 1:
+                proj = _project(p[i], q[j], next_end(q, j))
+                best = min(best, dp[i - 1, j] + (
+                    _dist(p[i - 1], q[j]) + _dist(p[i], proj)) * (
+                    _dist(p[i - 1], p[i]) + _dist(q[j], proj)))
+            if j >= 1:
+                proj = _project(q[j], p[i], next_end(p, i))
+                best = min(best, dp[i, j - 1] + (
+                    _dist(p[i], q[j - 1]) + _dist(q[j], proj)) * (
+                    _dist(q[j - 1], q[j]) + _dist(p[i], proj)))
+            dp[i, j] = best
+    return float(dp[n - 1, m - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,9 @@ def test_from_dict_rejects_unknown_keys():
 
 def test_from_dict_drops_retired_num_workers():
     """Checkpoints written while the data pipeline had worker processes
-    carry ``training.num_workers``; they must still load.  Any other
-    unknown key is still an error."""
+    carry ``training.num_workers`` (and, before the prefetch depth was
+    fixed, ``training.prefetch_batches``); they must still load.  Any
+    other unknown key is still an error."""
     written = {
         "cell_size": 77.0, "min_hits": 9, "embedding_size": 12,
         "hidden_size": 12, "num_layers": 3, "dropout": 0.25,
@@ -76,6 +77,8 @@ def test_from_dict_drops_retired_num_workers():
     }
     assert T2VecConfig.from_dict(written) == custom_config()
     assert TrainingConfig.from_dict({"num_workers": 4}) == TrainingConfig()
+    assert (TrainingConfig.from_dict({"prefetch_batches": 0})
+            == TrainingConfig())
     with pytest.raises(ValueError, match="unknown TrainingConfig"):
         TrainingConfig.from_dict({"num_workers": 4, "chunk_size": 16})
 

@@ -26,12 +26,13 @@ def test_encode_shapes(model, batch):
     v, state = model.encode(batch.src, batch.src_mask)
     assert v.shape == (batch.size, 16)
     assert len(state) == 2
-    assert state[0].shape == (batch.size, 16)
+    assert [len(layer) for layer in state] == [1, 1]    # (h,) per GRU layer
+    assert state[0][0].shape == (batch.size, 16)
 
 
 def test_representation_uses_top_layer_final_state(model, batch):
     v, state = model.encode(batch.src, batch.src_mask)
-    np.testing.assert_array_equal(v.numpy(), state[-1].numpy())
+    np.testing.assert_array_equal(v.numpy(), state[-1][0].numpy())
 
 
 def test_representations_distinguish_inputs(model, batch):
@@ -159,20 +160,65 @@ def test_beam_decode_rejects_max_len_below_one(model, batch, max_len):
                           max_len=max_len)
 
 
+#: ``state_dict()`` of a 2-layer ``EncoderDecoder`` (vocabulary 20,
+#: embedding 5, hidden 6), written out literally so that a refactor of the
+#: recurrent stack cannot rename or reshape a checkpoint entry unnoticed.
+CHECKPOINT_FORMAT = {
+    "gru": {
+        "embedding.weight": (20, 5),
+        "encoder.cells.0.w_ih": (5, 18),
+        "encoder.cells.0.w_hh": (6, 18),
+        "encoder.cells.0.b_ih": (18,),
+        "encoder.cells.0.b_hh": (18,),
+        "encoder.cells.1.w_ih": (6, 18),
+        "encoder.cells.1.w_hh": (6, 18),
+        "encoder.cells.1.b_ih": (18,),
+        "encoder.cells.1.b_hh": (18,),
+        "decoder.cells.0.w_ih": (5, 18),
+        "decoder.cells.0.w_hh": (6, 18),
+        "decoder.cells.0.b_ih": (18,),
+        "decoder.cells.0.b_hh": (18,),
+        "decoder.cells.1.w_ih": (6, 18),
+        "decoder.cells.1.w_hh": (6, 18),
+        "decoder.cells.1.b_ih": (18,),
+        "decoder.cells.1.b_hh": (18,),
+        "proj_weight": (20, 6),
+        "proj_bias": (20,),
+    },
+    "lstm": {
+        "embedding.weight": (20, 5),
+        "encoder.cells.0.w_ih": (5, 24),
+        "encoder.cells.0.w_hh": (6, 24),
+        "encoder.cells.0.b_ih": (24,),
+        "encoder.cells.0.b_hh": (24,),
+        "encoder.cells.1.w_ih": (6, 24),
+        "encoder.cells.1.w_hh": (6, 24),
+        "encoder.cells.1.b_ih": (24,),
+        "encoder.cells.1.b_hh": (24,),
+        "decoder.cells.0.w_ih": (5, 24),
+        "decoder.cells.0.w_hh": (6, 24),
+        "decoder.cells.0.b_ih": (24,),
+        "decoder.cells.0.b_hh": (24,),
+        "decoder.cells.1.w_ih": (6, 24),
+        "decoder.cells.1.w_hh": (6, 24),
+        "decoder.cells.1.b_ih": (24,),
+        "decoder.cells.1.b_hh": (24,),
+        "proj_weight": (20, 6),
+        "proj_bias": (20,),
+    },
+}
+
+
 @pytest.mark.parametrize("rnn_type, gates", [("gru", 3), ("lstm", 4)])
 def test_state_dict_layout_is_stable(rnn_type, gates):
-    """Checkpoints address each layer's weights as ``<rnn>.cells.<i>.<name>``."""
+    """Checkpoints address each layer's weights as ``<rnn>.cells.<i>.<name>``
+    with exactly the keys and shapes of the literal table above; every
+    recurrent weight is ``gates`` hidden-size blocks wide."""
     model = EncoderDecoder(ModelConfig(vocab_size=20, embedding_size=5,
                                        hidden_size=6, num_layers=2,
                                        rnn_type=rnn_type))
-    expected = {"embedding.weight": (20, 5), "proj_weight": (20, 6),
-                "proj_bias": (20,)}
-    for rnn in ("encoder", "decoder"):
-        for layer, in_size in enumerate((5, 6)):
-            prefix = f"{rnn}.cells.{layer}."
-            expected[prefix + "w_ih"] = (in_size, gates * 6)
-            expected[prefix + "w_hh"] = (6, gates * 6)
-            expected[prefix + "b_ih"] = (gates * 6,)
-            expected[prefix + "b_hh"] = (gates * 6,)
-    state = model.state_dict()
-    assert {key: value.shape for key, value in state.items()} == expected
+    got = {key: value.shape for key, value in model.state_dict().items()}
+    assert got == CHECKPOINT_FORMAT[rnn_type]
+    assert len(got) == 19
+    assert all(shape[-1] == gates * 6
+               for key, shape in got.items() if ".cells." in key)

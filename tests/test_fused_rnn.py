@@ -174,7 +174,8 @@ def test_fused_stack_gradients_with_dropout():
                   rng=np.random.default_rng(0))
         gru.dropout._rng = np.random.default_rng(99)
         out_seq, state = gru(xs)
-        return (out_seq * out_seq).sum() + (state[-1] * state[-1]).sum()
+        h_top = state[-1][0]
+        return (out_seq * out_seq).sum() + (h_top * h_top).sum()
 
     check_gradients(build, x, tol=1e-6)
 
@@ -210,14 +211,13 @@ def _ragged_mask(t_steps):
     return MASK[:t_steps]
 
 
-def _stack_case(rnn_cls, num_layers, t_steps, with_h0, seed):
+def _stack_case(rnn_cls, parts, num_layers, t_steps, with_h0, seed):
     rnn = rnn_cls(IN_SIZE, HIDDEN, num_layers=num_layers,
                   rng=np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
     for p in rnn.parameters():   # move biases off their zero/one init
         p.data += 0.1 * rng.standard_normal(p.shape)
     x = rng.standard_normal((t_steps, BATCH, IN_SIZE))
-    parts = 2 if rnn_cls is LSTM else 1
     h0 = ([rng.standard_normal((parts, BATCH, HIDDEN))
            for _ in range(num_layers)] if with_h0 else None)
     # Random readout weights make every output element's gradient distinct.
@@ -231,38 +231,35 @@ def _run_stack(rnn, x, h0, mask, readout, final, forward):
         p.grad = None
     xs = Tensor(x.copy(), requires_grad=True)
     initial = None
-    leaves = [xs]
     if h0 is not None:
-        initial = []
-        for layer in h0:
-            tensors = [Tensor(part.copy(), requires_grad=True) for part in layer]
-            leaves.extend(tensors)
-            initial.append(tuple(tensors) if len(tensors) == 2 else tensors[0])
+        initial = [tuple(Tensor(part.copy(), requires_grad=True)
+                         for part in layer) for layer in h0]
+    leaves = [xs] + [part for layer in initial or () for part in layer]
     out, state = forward(xs, initial, mask)
     loss = (out * Tensor(readout)).sum()
     for layer, layer_state in enumerate(state):
-        parts = layer_state if isinstance(layer_state, tuple) else (layer_state,)
-        for p, part in enumerate(parts):
+        for p, part in enumerate(layer_state):
             loss = loss + (part * Tensor(final[layer, p])).sum()
     loss.backward()
     finals = [part.numpy().copy() for layer_state in state
-              for part in (layer_state if isinstance(layer_state, tuple)
-                           else (layer_state,))]
+              for part in layer_state]
     grads = [leaf.grad for leaf in leaves] + [p.grad for p in rnn.parameters()]
     return out.numpy().copy(), finals, grads
 
 
 @pytest.mark.usefixtures("float64_tensors")
-@pytest.mark.parametrize("rnn_cls", [GRU, LSTM], ids=["gru", "lstm"])
+@pytest.mark.parametrize("rnn_cls, parts", [(GRU, 1), (LSTM, 2)],
+                         ids=["gru", "lstm"])
 @pytest.mark.parametrize("num_layers", [1, 2])
 @pytest.mark.parametrize("t_steps", [1, T_STEPS], ids=["T1", "T5"])
 @pytest.mark.parametrize("with_h0", [False, True], ids=["zero-h0", "h0"])
 @pytest.mark.parametrize("ragged", [False, True], ids=["dense", "ragged"])
-def test_stack_matches_stepwise_oracle(rnn_cls, num_layers, t_steps, with_h0,
-                                       ragged):
+def test_stack_matches_stepwise_oracle(rnn_cls, parts, num_layers, t_steps,
+                                       with_h0, ragged):
     """GRU/LSTM.forward == the autograd-chain oracle: outputs, finals, grads."""
-    rnn, x, h0, readout, final = _stack_case(rnn_cls, num_layers, t_steps,
-                                             with_h0, seed=41 + num_layers)
+    rnn, x, h0, readout, final = _stack_case(rnn_cls, parts, num_layers,
+                                             t_steps, with_h0,
+                                             seed=41 + num_layers)
     mask = _ragged_mask(t_steps) if ragged else None
 
     got = _run_stack(rnn, x, h0, mask, readout, final,
@@ -313,7 +310,7 @@ def test_encoder_decoder_fused_matches_stepwise(rnn_type):
                                      mask=src_mask)
     ref_out, _ = oracles.rnn_stack(model.decoder, model.embedding(src),
                                    h0=ref_state, mask=src_mask)
-    np.testing.assert_allclose(v.numpy(), model._top_hidden(ref_state).numpy(),
+    np.testing.assert_allclose(v.numpy(), ref_state[-1][0].numpy(),
                                atol=1e-12)
     np.testing.assert_allclose(hidden.numpy(),
                                ref_out.numpy().reshape(hidden.shape),

@@ -59,9 +59,9 @@ def test_lstm_stack_shapes():
     out_seq, state = lstm(Tensor(np.ones((6, 4, 3))))
     assert out_seq.shape == (6, 4, 5)
     assert len(state) == 2
-    h, c = state[-1]
-    assert h.shape == (4, 5) and c.shape == (4, 5)
-    assert len(LSTM.hidden_of(state)) == 2
+    for h, c in state:
+        assert h.shape == (4, 5) and c.shape == (4, 5)
+    np.testing.assert_array_equal(out_seq.numpy()[-1], state[-1][0].numpy())
 
 
 def test_lstm_masking_freezes_short_sequences():

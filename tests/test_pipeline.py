@@ -226,8 +226,8 @@ def test_early_break_closes_prefetch_thread(trips, vocab):
 
 
 def test_invalid_configuration_rejected(trips, vocab):
-    for kwargs in ({"bucket_batches": 0}, {"prefetch_batches": -1},
-                   {"dropping_rates": ()}, {"distorting_rates": ()}):
+    for kwargs in ({"bucket_batches": 0}, {"dropping_rates": ()},
+                   {"distorting_rates": ()}):
         with pytest.raises(ValueError):
             make_pipeline(trips[:4], vocab, **kwargs)
     # Rates `degrade` rejects are rejected up front, with its message.

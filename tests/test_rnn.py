@@ -42,8 +42,9 @@ def test_gru_runs_multi_layer_and_returns_all_steps():
     out_seq, state = gru(Tensor(np.ones((5, 2, 3))))
     assert out_seq.shape == (5, 2, 4)
     assert len(state) == 3
-    assert state[-1].shape == (2, 4)
-    np.testing.assert_array_equal(out_seq.numpy()[-1], state[-1].numpy())
+    (h,) = state[-1]
+    assert h.shape == (2, 4)
+    np.testing.assert_array_equal(out_seq.numpy()[-1], h.numpy())
 
 
 def test_gru_mask_freezes_padded_sequences():
@@ -55,15 +56,22 @@ def test_gru_mask_freezes_padded_sequences():
 
     # Running only the first 2 steps for sequence 1 must match its final state.
     _, short_state = gru(Tensor(x[:2, 1:2]))
-    np.testing.assert_allclose(state[-1].numpy()[1], short_state[-1].numpy()[0],
+    np.testing.assert_allclose(state[-1][0].numpy()[1],
+                               short_state[-1][0].numpy()[0],
                                rtol=1e-5, atol=1e-6)
 
 
 def test_gru_initial_state_is_zero():
-    gru = GRU(2, 3, rng=np.random.default_rng(0))
-    state = gru.initial_state(4)
-    assert len(state) == 1
-    np.testing.assert_array_equal(state[0].numpy(), np.zeros((4, 3)))
+    """An omitted state, or ``None`` for one layer, starts from zeros."""
+    gru = GRU(2, 3, num_layers=2, rng=np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).standard_normal((3, 4, 2)))
+    zeros = [(Tensor(np.zeros((4, 3))),), (Tensor(np.zeros((4, 3))),)]
+    want, want_state = gru(x, h0=zeros)
+    for h0 in (None, [None, None], [zeros[0], None]):
+        got, got_state = gru(x, h0=h0)
+        np.testing.assert_array_equal(got.numpy(), want.numpy())
+        for (h,), (want_h,) in zip(got_state, want_state):
+            np.testing.assert_array_equal(h.numpy(), want_h.numpy())
 
 
 def test_gru_rejects_empty_input_and_bad_state():
@@ -93,4 +101,5 @@ def test_gru_deterministic_given_seed():
     a = GRU(3, 4, num_layers=2, rng=np.random.default_rng(5))
     b = GRU(3, 4, num_layers=2, rng=np.random.default_rng(5))
     x = Tensor(np.ones((1, 2, 3)))
-    np.testing.assert_array_equal(a(x)[1][-1].numpy(), b(x)[1][-1].numpy())
+    np.testing.assert_array_equal(a(x)[1][-1][0].numpy(),
+                                  b(x)[1][-1][0].numpy())

@@ -35,6 +35,21 @@ def test_fit_populates_components(fitted):
     assert result.train_losses[-1] < result.train_losses[0]
 
 
+def test_empty_inputs_encode_to_empty_blocks(fitted, trips):
+    """No trajectories give a ``(0, hidden)`` block, so queries against an
+    empty database return empty rows instead of failing in ``np.stack``."""
+    from repro.baselines import VanillaRNNEmbedding
+    model, _ = fitted
+    vrnn = VanillaRNNEmbedding(model.vocab, embedding_size=8, hidden_size=12)
+    for encoder, hidden in ((model, 24), (vrnn, 12)):
+        empty = encoder.encode_many([])
+        assert empty.shape == (0, hidden)
+        assert empty.dtype == encoder.encode_many(trips[:1]).dtype
+    queries = trips[:3]
+    assert model.knn_batch(queries, [], k=5).shape == (3, 0)
+    assert model.distance_matrix(queries, []).shape == (3, 0)
+
+
 def test_encode_shape_and_determinism(fitted, trips):
     model, _ = fitted
     v1 = model.encode(trips[0])
